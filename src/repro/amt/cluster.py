@@ -37,8 +37,7 @@ from .des import Event, SimulationError, Simulator
 from .future import _MULTI, Future, LocalFuture, local_when_all
 
 __all__ = ["SpeedTrace", "ConstantSpeed", "PiecewiseSpeed", "RampSpeed",
-           "StraggleSpeed", "Network", "SimNode", "SimTask", "SimCluster",
-           "BusyCursor"]
+           "StraggleSpeed", "Network", "SimNode", "SimTask", "SimCluster"]
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +519,6 @@ class SimNode:
         #: ``None``): what hierarchy-aware cost models price tasks
         #: against; inert under the flat model
         self.memory = memory
-        #: monotone count of busy-time credits (task completions, wave
-        #: flushes, group retirements) since construction — the change
-        #: detector behind :meth:`SimCluster.poll_busy`'s cursor
-        self.busy_marks = 0
         self.free_cores = cores
         self.ready: Deque[SimTask] = deque()
         self.tasks_completed = 0
@@ -557,33 +552,6 @@ class SimNode:
     def busy_time(self) -> float:
         """Window busy core-seconds (since last counter reset)."""
         return self.counter.value()
-
-
-class BusyCursor:
-    """Per-caller state for incremental busy-time polls.
-
-    Pairs a last-seen :attr:`SimNode.busy_marks` with the window value
-    read at that mark, per node.  :meth:`SimCluster.poll_busy` re-reads
-    only nodes whose marks moved (or that hold un-flushed group
-    entries) — every other node's cached float *is* the value a full
-    sweep would read, bit for bit, because nothing touched its counter.
-    Create one cursor per measurement consumer (the balancer keeps its
-    own) and realign it with :meth:`SimCluster.rebase_busy_cursor`
-    after every ``reset_counters``.
-    """
-
-    __slots__ = ("marks", "values")
-
-    def __init__(self) -> None:
-        self.marks: List[int] = []
-        self.values: List[float] = []
-
-    def _ensure(self, n: int) -> None:
-        # joiners enter with an impossible mark so their first poll
-        # always reads the counter
-        while len(self.marks) < n:
-            self.marks.append(-1)
-            self.values.append(0.0)
 
 
 class SimCluster:
@@ -1001,8 +969,6 @@ class SimCluster:
             event.cancel()
             node.counter.end_work(self.sim.now, token)
             orphans.append(task)
-        if node.running:
-            node.busy_marks += 1
         node.running.clear()
         orphans.extend(node.ready)
         node.ready.clear()
@@ -1042,44 +1008,6 @@ class SimCluster:
         if node.pending:
             self._flush_pending(node, self.sim.now)
         return node.busy_time()
-
-    def poll_busy(self, cursor: BusyCursor) -> List[float]:
-        """Per-node window busy times, incrementally (all node ids).
-
-        Semantically ``[self.busy_time(n) for n in range(len(
-        self.nodes))]`` — and bit-identical to it: a node is re-read
-        only when its :attr:`SimNode.busy_marks` moved past the
-        cursor's last-seen mark (or it holds un-flushed group entries);
-        otherwise nothing has touched its busy counter since the last
-        poll, so the cached float *is* what ``busy_time`` would return.
-        Nodes that stayed idle the whole window — the common case at
-        fleet scale — cost one integer compare instead of a counter
-        read per poll.
-        """
-        nodes = self.nodes
-        marks, values = cursor.marks, cursor.values
-        cursor._ensure(len(nodes))
-        for i, node in enumerate(nodes):
-            if node.pending or node.busy_marks != marks[i]:
-                values[i] = self.busy_time(i)
-                # read back after busy_time: flushing pending entries
-                # bumps the mark
-                marks[i] = node.busy_marks
-        return values[:len(nodes)]
-
-    def rebase_busy_cursor(self, cursor: BusyCursor) -> None:
-        """Realign ``cursor`` to the just-reset counters.
-
-        Call immediately after :meth:`reset_counters`: every window is
-        exactly ``0.0`` there, so the cursor caches zeros against the
-        current marks and the next poll re-reads only nodes that do
-        work in the new window.
-        """
-        nodes = self.nodes
-        cursor._ensure(len(nodes))
-        for i, node in enumerate(nodes):
-            cursor.marks[i] = node.busy_marks
-            cursor.values[i] = 0.0
 
     def busy_fraction(self, node_id: int) -> float:
         """Busy core-seconds / available core-seconds in the window."""
@@ -1122,11 +1050,6 @@ class SimCluster:
         self._materialize_groups()
         self.counters.reset_all(now=self.sim.now)
         self._window_start = self.sim.now
-        # windows changed under every cursor: any poll that skips the
-        # rebase fast path must re-read (rebase_busy_cursor avoids the
-        # O(nodes) re-read for callers that pair it with the reset)
-        for node in self.nodes:
-            node.busy_marks += 1
 
     # -- internals ---------------------------------------------------------
     def _node(self, node_id: int) -> SimNode:
@@ -1246,7 +1169,6 @@ class SimCluster:
         for t in wave.times:
             counter.add(t - prev)
             prev = t
-        node.busy_marks += 1
         node.tasks_completed += len(wave.tasks)
         for task in wave.tasks:
             node.work_completed += task.work
@@ -1288,7 +1210,6 @@ class SimCluster:
                     counter.add(now - prev)
                     in_flight = False
                 orphans.append(task)
-        node.busy_marks += 1
         return orphans
 
     def _materialize_waves(self) -> None:
@@ -1323,8 +1244,6 @@ class SimCluster:
                     idx += 1
                 else:
                     break
-            if idx:
-                node.busy_marks += 1
             if idx < len(wave.tasks):
                 task = wave.tasks[idx]
                 token = counter.begin_work(prev)
@@ -1374,8 +1293,6 @@ class SimCluster:
                 idx += 1
             else:
                 break
-        if idx:
-            node.busy_marks += 1
         # the wave event at times[-1] has not fired (it would have
         # cleared node.wave), so at least the final member has t >= now
         task = wave.tasks[idx]
@@ -1403,7 +1320,6 @@ class SimCluster:
         """
         pending = node.pending
         counter = node.counter
-        retired = False
         while pending and pending[0][1] <= now:
             start, finish, work, group = pending.popleft()
             span = finish - start
@@ -1412,9 +1328,6 @@ class SimCluster:
             node.tasks_completed += 1
             node.work_completed += work
             group.remaining -= 1
-            retired = True
-        if retired:
-            node.busy_marks += 1
 
     def _complete_group(self, group: _TaskGroup) -> None:
         """The one DES event per task group: flush, then fire the barrier.
@@ -1482,7 +1395,6 @@ class SimCluster:
     def _complete(self, node: SimNode, task: SimTask) -> None:
         token, _event = node.running.pop(task)
         node.counter.end_work(self.sim.now, token)
-        node.busy_marks += 1
         node.free_cores += 1
         node.tasks_completed += 1
         node.work_completed += task.work

@@ -30,7 +30,7 @@ import numpy as np
 from ...mesh.decomposition import Decomposition
 from ...mesh.subdomain import SubdomainGrid
 from ..power import compute_power, expected_sds, imbalance_ratio, integer_targets
-from ..transfer import TransferPlan, select_transfers
+from ..transfer import TransferPlan, select_transfers, transfer_stream
 
 __all__ = ["BalanceResult", "BalanceEvent", "BalanceStrategy",
            "is_uniform_work", "evacuate_assignments"]
@@ -421,7 +421,7 @@ class BalanceStrategy:
         donor connected (a corner of its region), ties by SD id.
         ``parts`` and ``node_load`` are updated in place.
         """
-        from ..transfer import _donor_stays_connected, _sp_centroid
+        from ..transfer import _sp_centroid, _stays_connected
         plans: List[TransferPlan] = []
         counts = np.bincount(parts, minlength=len(node_load))
         for n in np.nonzero(expected)[0]:
@@ -434,10 +434,9 @@ class BalanceStrategy:
             donor = max(donors, key=lambda d: (node_load[d], -d))
             centroid = _sp_centroid(self.sd_grid, parts, donor)
             best = None  # (-distance, sd id)
-            for sd in np.nonzero(parts == donor)[0]:
-                sd = int(sd)
-                if not _donor_stays_connected(self.sd_grid, parts, donor, sd):
-                    continue
+            members = np.nonzero(parts == donor)[0]
+            keeps = _stays_connected(self.sd_grid, parts, donor, members)
+            for sd in members[keeps].tolist():
                 cx, cy = self.sd_grid.sd_center(sd)
                 dist = float(np.hypot(cx - centroid[0], cy - centroid[1]))
                 key = (-round(dist, 9), sd)
@@ -475,16 +474,14 @@ class BalanceStrategy:
         """
         remaining = amount
         plans: List[TransferPlan] = []
+        picks = transfer_stream(self.sd_grid, parts, donor, receiver,
+                                self.preserve_connectivity)
         while remaining > half_sd:
-            plan = select_transfers(
-                self.sd_grid, parts, donor=donor, receiver=receiver, count=1,
-                preserve_donor_connectivity=self.preserve_connectivity)
-            if not plan.sds:
+            sd = next(picks, None)
+            if sd is None:
                 break
-            sd = plan.sds[0]
-            parts[sd] = receiver
             remaining -= float(sd_work[sd])
-            plans.append(plan)
+            plans.append(TransferPlan(donor, receiver, 1, [sd]))
         return plans
 
     def _greedy_settle(self, parts: np.ndarray, residual: np.ndarray,

@@ -9,6 +9,15 @@ structures the distributed solver consumes each timestep:
 * the per-SD split of DPs into **Case 1** (update depends on foreign
   data — must wait for ghosts) and **Case 2** (interior — computable
   immediately), the paper's Sec. 6.3 overlap mechanism.
+
+Two forms of the same answers live here.  :meth:`Decomposition
+.ghost_messages` and :meth:`Decomposition.case_split` walk
+:class:`Rect` objects SD by SD; they are the readable reference.
+:meth:`Decomposition.foreign_pairs` and :meth:`Decomposition
+.case1_counts` evaluate the whole mesh at once as NumPy passes over the
+grid's cached halo-pair table and window segments; the solver compiles
+its step plans from them, and the equivalence tests pin the two forms
+to each other.
 """
 
 from __future__ import annotations
@@ -158,21 +167,34 @@ class Decomposition:
         """Total cross-node ghost bytes per timestep."""
         return sum(self.exchange_bytes(radius).values())
 
+    def foreign_pairs(self, radius: int) -> np.ndarray:
+        """Which halo overlaps cross a node boundary.
+
+        A boolean mask over :meth:`SubdomainGrid.halo_pairs`: entry
+        ``k`` is set iff its source and destination SDs have different
+        owners — exactly the pairs :meth:`ghost_messages` turns into
+        messages, in the same order.
+        """
+        dst, src, _area = self.sd_grid.halo_pairs(radius)
+        return self.parts[dst] != self.parts[src]
+
     def node_adjacency(self) -> List[Tuple[int, int]]:
         """Unordered node pairs with at least one SD face adjacency.
 
         This is the edge set of the load balancer's dependency tree
         (Algorithm 1 lines 13–18): nodes are connected iff an SD of one
-        is adjacent to the SP of the other.
+        is adjacent to the SP of the other.  Sorted; computed by
+        comparing the ownership grid with its shifts along each axis.
         """
-        pairs = set()
-        for sd in range(self.sd_grid.num_subdomains):
-            a = self.owner(sd)
-            for nb in self.sd_grid.face_neighbors(sd):
-                b = self.owner(nb)
-                if a != b:
-                    pairs.add((min(a, b), max(a, b)))
-        return sorted(pairs)
+        grid = self.sd_grid.ownership_grid(self.parts)
+        a = np.concatenate([grid[:, :-1].ravel(), grid[:-1, :].ravel()])
+        b = np.concatenate([grid[:, 1:].ravel(), grid[1:, :].ravel()])
+        cross = a != b
+        a, b = a[cross], b[cross]
+        codes = np.unique(np.minimum(a, b) * self.num_nodes
+                          + np.maximum(a, b))
+        return [(int(c) // self.num_nodes, int(c) % self.num_nodes)
+                for c in codes]
 
     # -- case split ----------------------------------------------------------
     def case_split(self, sd: int, radius: int) -> CaseSplit:
@@ -201,11 +223,40 @@ class Decomposition:
                      x0 - rect.x0:x1 - rect.x0] = True
         return CaseSplit(sd, mask)
 
+    def case1_counts(self, radius: int) -> np.ndarray:
+        """Case-1 DP count of every SD, as :meth:`case_split` counts them.
+
+        A DP is Case 1 iff its Chebyshev ``radius`` window holds a DP of
+        another node.  Along each axis the window's SD range is constant
+        on the runs of :meth:`SubdomainGrid.window_segments`, so the
+        test runs once per (row run, column run) cell: the max and min
+        owner over the cell's SD window (a sliding range over the
+        ownership grid, rows first, then columns) differ from the
+        cell's own owner.  Cell DP counts are then summed per SD.
+        """
+        (own_y, lo_y, hi_y, len_y, first_y), (own_x, lo_x, hi_x, len_x,
+                                              first_x) = \
+            self.sd_grid.window_segments(radius)
+        grid = self.sd_grid.ownership_grid(self.parts)
+        # owner range over each row run's window of SD rows ...
+        high, low = grid[lo_y], grid[lo_y]
+        for k in range(1, int((hi_y - lo_y).max()) + 1):
+            rows = grid[np.minimum(lo_y + k, hi_y)]
+            high, low = np.maximum(high, rows), np.minimum(low, rows)
+        # ... then over each column run's window of SD columns
+        col_high, col_low = high[:, lo_x], low[:, lo_x]
+        for k in range(1, int((hi_x - lo_x).max()) + 1):
+            cols = np.minimum(lo_x + k, hi_x)
+            col_high = np.maximum(col_high, high[:, cols])
+            col_low = np.minimum(col_low, low[:, cols])
+        own = grid[own_y][:, own_x]
+        case1 = (col_high != own) | (col_low != own)
+        dps = case1 * len_y[:, None] * len_x[None, :]
+        per_sd = np.add.reduceat(np.add.reduceat(dps, first_y, axis=0),
+                                 first_x, axis=1)
+        return per_sd.ravel()
+
     def case_counts(self, radius: int) -> Tuple[int, int]:
         """Total (case1, case2) DP counts over the whole mesh."""
-        c1 = c2 = 0
-        for sd in range(self.sd_grid.num_subdomains):
-            split = self.case_split(sd, radius)
-            c1 += split.case1_count
-            c2 += split.case2_count
-        return c1, c2
+        c1 = int(self.case1_counts(radius).sum())
+        return c1, self.sd_grid.mesh_nx * self.sd_grid.mesh_ny - c1

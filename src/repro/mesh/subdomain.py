@@ -9,11 +9,19 @@ decomposition and the balancer need (neighbors, halos, border strips).
 SD ids follow the dual-graph convention of :mod:`repro.partition.graph`:
 ``sd = iy * sd_nx + ix``, so a partition array from
 :func:`repro.partition.kway.partition_sd_grid` indexes directly.
+
+Besides the per-SD :class:`Rect` queries, the grid answers the same
+geometry as whole-mesh arrays (:meth:`SubdomainGrid.halo_pairs`,
+:meth:`SubdomainGrid.window_segments`, :attr:`SubdomainGrid.centers`),
+computed in closed form from the cut positions and cached: they depend
+on the SD layout and the stencil radius only, never on ownership, so
+the solver's plan compile and the balancer's transfer selection reduce
+to NumPy passes over them.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -72,6 +80,51 @@ class Rect:
         return f"Rect(y=[{self.y0},{self.y1}), x=[{self.x0},{self.x1}))"
 
 
+def _axis_overlaps(cuts: np.ndarray, extent: int, radius: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, length)`` for every SD pair along one axis whose overlap
+    of SD ``i``'s halo interval with SD ``j``'s interval is non-empty
+    (``i == j`` included), sorted by ``(i, j)``."""
+    lo = np.maximum(cuts[:-1] - radius, 0)
+    hi = np.minimum(cuts[1:] + radius, extent)
+    length = (np.minimum(hi[:, None], cuts[None, 1:])
+              - np.maximum(lo[:, None], cuts[None, :-1]))
+    i, j = np.nonzero(length > 0)
+    return i, j, length[i, j]
+
+
+def _axis_segments(cuts: np.ndarray, extent: int, radius: int
+                   ) -> Tuple[np.ndarray, ...]:
+    """Runs of DPs along one axis whose radius window covers a fixed
+    range of SDs.
+
+    The window ``[p - radius, p + radius]`` of DP ``p`` changes the SDs
+    it touches only where ``p`` crosses a ``cut ± radius`` breakpoint,
+    and ``p``'s own SD changes only at a cut, so between consecutive
+    breakpoints everything Case 1 depends on is constant.  Returns
+    ``(own, lo, hi, length, first)``: per run, the SD containing it,
+    the first and last SD its windows reach, and its DP count; per SD,
+    the index of its first run (``own`` is non-decreasing).
+    """
+    n = len(cuts) - 1
+    bounds = np.unique(np.clip(
+        np.concatenate([cuts - radius, cuts, cuts + radius]), 0, extent))
+    starts = bounds[:-1]
+    own = np.searchsorted(cuts, starts, side="right") - 1
+    lo = np.searchsorted(cuts, np.maximum(starts - radius, 0),
+                         side="right") - 1
+    hi = np.minimum(np.searchsorted(cuts, starts + radius, side="right") - 1,
+                    n - 1)
+    first = np.searchsorted(own, np.arange(n))
+    return own, lo, hi, np.diff(bounds), first
+
+
+def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 class SubdomainGrid:
     """Partition of an ``mesh_nx × mesh_ny`` DP mesh into SDs.
 
@@ -98,6 +151,17 @@ class SubdomainGrid:
         self.sd_ny = sd_ny
         self._x_cuts = np.linspace(0, mesh_nx, sd_nx + 1).round().astype(np.int64)
         self._y_cuts = np.linspace(0, mesh_ny, sd_ny + 1).round().astype(np.int64)
+        iy, ix = np.divmod(np.arange(self.num_subdomains), sd_nx)
+        #: ``(N, 2)`` SD centres in unit-square coordinates, ``(x, y)``
+        #: per SD — the values :meth:`sd_center` returns
+        self.centers = np.stack([(ix + 0.5) / sd_nx, (iy + 0.5) / sd_ny],
+                                axis=1)
+        #: block shape of every SD, ``(rows, cols)`` per SD
+        self.rows = np.diff(self._y_cuts)[iy]
+        self.cols = np.diff(self._x_cuts)[ix]
+        _frozen(self.centers, self.rows, self.cols)
+        self._halo_pairs: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._segments: Dict[int, Tuple[tuple, tuple]] = {}
 
     # -- id mapping ---------------------------------------------------------
     @property
@@ -177,6 +241,49 @@ class SubdomainGrid:
                 if overlap.area > 0:
                     out.append((other, overlap))
         return out
+
+    def halo_pairs(self, radius: int) -> Tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+        """Every halo overlap of the grid as arrays ``(dst, src, area)``.
+
+        One entry per ``(dst, src)`` pair for which
+        :meth:`halo_neighbors` of ``dst`` lists ``src``, with the overlap
+        area in DPs, sorted by ``dst`` then ``src`` — the order of
+        :meth:`repro.mesh.decomposition.Decomposition.ghost_messages`.
+        Rectangle overlaps are products of interval overlaps, so the
+        table is the outer product of the two per-axis overlap lists.
+        Cached per radius (read-only arrays).
+        """
+        table = self._halo_pairs.get(radius)
+        if table is None:
+            iy, jy, ly = _axis_overlaps(self._y_cuts, self.mesh_ny, radius)
+            ix, jx, lx = _axis_overlaps(self._x_cuts, self.mesh_nx, radius)
+            dst = (iy[:, None] * self.sd_nx + ix[None, :]).ravel()
+            src = (jy[:, None] * self.sd_nx + jx[None, :]).ravel()
+            area = (ly[:, None] * lx[None, :]).ravel()
+            keep = np.nonzero(dst != src)[0]
+            order = keep[np.lexsort((src[keep], dst[keep]))]
+            table = _frozen(dst[order], src[order], area[order])
+            self._halo_pairs[radius] = table
+        return table
+
+    def window_segments(self, radius: int) -> Tuple[tuple, tuple]:
+        """Per-axis DP runs with a constant radius-window SD range.
+
+        Returns ``(rows, cols)``, each ``(own, lo, hi, length, first)``
+        as described in :func:`_axis_segments`; the Case-1 DP counts of
+        :meth:`repro.mesh.decomposition.Decomposition.case1_counts` are
+        evaluated once per (row run, column run) cell instead of per DP.
+        Cached per radius (read-only arrays).
+        """
+        segs = self._segments.get(radius)
+        if segs is None:
+            segs = (_frozen(*_axis_segments(self._y_cuts, self.mesh_ny,
+                                            radius)),
+                    _frozen(*_axis_segments(self._x_cuts, self.mesh_nx,
+                                            radius)))
+            self._segments[radius] = segs
+        return segs
 
     def ownership_grid(self, parts: np.ndarray) -> np.ndarray:
         """Reshape a per-SD part array into the ``(sd_ny, sd_nx)`` grid."""

@@ -28,8 +28,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..amt.cluster import (BusyCursor, ConstantSpeed, Network, SimCluster,
-                           SimTask, SpeedTrace, StraggleSpeed)
+from ..amt.cluster import (ConstantSpeed, Network, SimCluster, SimTask,
+                           SpeedTrace, StraggleSpeed)
 from ..amt.faults import ChurnEvent, FaultSchedule, RecoveryEvent
 from ..amt.future import Future, local_when_all
 from ..core.balancer import BalanceResult, LoadBalancer
@@ -105,17 +105,21 @@ class DistributedResult:
 class _StepPlan:
     """Step-invariant schedule structure, cached between ownership changes.
 
-    Every timestep with the same SD ownership builds the *same* ghost
-    messages and the same per-SD work amounts: ``Decomposition``, the
-    halo sweep behind ``ghost_messages`` and the per-SD ``case_split``
-    depend only on ``(parts, sd_grid, radius)``.  Rebuilding them each
-    step dominates the wall time of schedule-only scaling runs, so the
-    solver compiles them once into plain tuples and replays those until
+    Every timestep with the same SD ownership sends the *same* ghost
+    messages and runs the same per-SD work amounts, so the solver
+    compiles them once into plain tuples and replays those until
     ownership changes (balancing, failure, join) or a new run starts.
 
-    The cached work floats are resolved through the solver's cost model
-    once at compile time (``flat`` evaluates the seed's ``count * flops
-    * work_factor`` left to right), so replayed schedules are
+    The compile is a few NumPy passes, not a walk over SDs: the ghost
+    messages are the foreign entries of the SD grid's cached halo-pair
+    table (:meth:`SubdomainGrid.halo_pairs` masked by
+    :meth:`Decomposition.foreign_pairs`), and the Case-1/Case-2 split
+    comes from :meth:`Decomposition.case1_counts`.  Both equal the
+    ``Rect``-walking ``ghost_messages``/``case_split`` reference entry
+    for entry (``tests/mesh/test_geometry_tables.py``).  The work
+    floats are resolved through the solver's cost model per SD at
+    compile time (``flat`` evaluates the seed's ``count * flops *
+    work_factor`` left to right), so replayed schedules are
     bit-identical to rebuilt ones.
     """
 
@@ -315,16 +319,6 @@ class DistributedSolver:
         self.cluster = SimCluster(num_nodes, cores_per_node=cores_per_node,
                                   speeds=speeds, network=network,
                                   cost_model=self.cost_model, memory=memory)
-        #: balancer busy-time polling: ``cursor`` (default) re-reads
-        #: only nodes whose counters changed since the last poll,
-        #: ``sweep`` restores the full per-node sweep (the parity
-        #: baseline) — both produce bit-identical measurements
-        self._poll_mode = os.environ.get("REPRO_BALANCER_POLL", "cursor")
-        if self._poll_mode not in ("cursor", "sweep"):
-            raise ValueError(
-                f"REPRO_BALANCER_POLL must be 'cursor' or 'sweep', "
-                f"got {self._poll_mode!r}")
-        self._busy_cursor = BusyCursor()
         if faults is not None:
             # fault handlers poll busy_time at arbitrary mid-step times;
             # wave batching defers per-task busy accounting to the wave
@@ -459,10 +453,10 @@ class DistributedSolver:
     # -- per-step machinery ----------------------------------------------------
     def _work_item(self, sd: int, count: int, wf: float) -> WorkItem:
         """The cost-model input for ``count`` DP updates of SD ``sd``."""
-        rect = self.sd_grid.rect(sd)
         return WorkItem(count=count, flops=self._flops, work_factor=wf,
                         backend=self.operator.backend_name,
-                        rows=rect.height, cols=rect.width,
+                        rows=int(self.sd_grid.rows[sd]),
+                        cols=int(self.sd_grid.cols[sd]),
                         radius=self.operator.radius)
 
     def _effective_work_factors(self) -> np.ndarray:
@@ -482,17 +476,9 @@ class DistributedSolver:
         return self.work_factors * np.asarray(scales, dtype=np.float64)
 
     def _poll_busy(self) -> List[float]:
-        """Per-node busy time since the last counter reset.
-
-        ``cursor`` mode re-reads only nodes whose busy counters moved
-        since the previous poll (``SimCluster.poll_busy``); ``sweep``
-        restores the full O(nodes) sweep.  Both return bit-identical
-        values — an untouched counter's cached float *is* its value.
-        """
-        if self._poll_mode == "sweep":
-            return [self.cluster.busy_time(n)
-                    for n in range(len(self.cluster.nodes))]
-        return self.cluster.poll_busy(self._busy_cursor)
+        """Per-node busy time since the last counter reset."""
+        return [self.cluster.busy_time(n)
+                for n in range(len(self.cluster.nodes))]
 
     def _build_plan(self) -> _StepPlan:
         """Compile the current ownership into a :class:`_StepPlan`."""
@@ -501,36 +487,39 @@ class DistributedSolver:
         R = self.operator.radius
         cost = self.cost_model
 
-        # ghost messages; with a domain mask, inactive SDs are
-        # known-zero (the Dc condition) so no message involving them
-        # is needed
-        messages: List[Tuple[int, int, int]] = []
-        ghost_sds: List[int] = []
-        for msg in decomp.ghost_messages(R):
-            if self._active is not None and not (
-                    self._active[msg.src_sd] and self._active[msg.dst_sd]):
-                continue
-            messages.append((msg.src_node, msg.dst_node, msg.nbytes))
-            ghost_sds.append(msg.dst_sd)
+        # ghost messages: the foreign entries of the grid's halo-pair
+        # table; with a domain mask, inactive SDs are known-zero (the
+        # Dc condition) so no message involving them is needed
+        dst, src, area = self.sd_grid.halo_pairs(R)
+        keep = decomp.foreign_pairs(R)
+        if self._active is not None:
+            keep &= self._active[src] & self._active[dst]
+        dst, src = dst[keep], src[keep]
+        messages = list(zip(self.parts[src].tolist(),
+                            self.parts[dst].tolist(),
+                            (area[keep] * BYTES_PER_DP).tolist()))
 
         # per-SD work amounts (inactive SDs run nothing)
+        sds = np.arange(self.sd_grid.num_subdomains)
+        if self._active is not None:
+            sds = sds[self._active]
+        case1 = decomp.case1_counts(R)[sds]
+        total = (self.sd_grid.rows * self.sd_grid.cols)[sds]
         tasks: List[tuple] = []
-        for sd in range(self.sd_grid.num_subdomains):
-            if self._active is not None and not self._active[sd]:
-                continue
-            node = decomp.owner(sd)
-            split = decomp.case_split(sd, R)
-            wf = float(self.work_factors[sd])
+        for sd, node, c1, n, wf in zip(
+                sds.tolist(), self.parts[sds].tolist(), case1.tolist(),
+                total.tolist(), self.work_factors[sds].tolist()):
             if not self.overlap:
                 tasks.append((sd, node, cost.task_work(
-                    self._work_item(sd, split.total, wf))))
+                    self._work_item(sd, n, wf))))
             else:
-                w2 = (cost.task_work(self._work_item(sd, split.case2_count, wf))
-                      if split.case2_count > 0 else None)
-                w1 = (cost.task_work(self._work_item(sd, split.case1_count, wf))
-                      if split.case1_count > 0 else None)
+                c2 = n - c1
+                w2 = (cost.task_work(self._work_item(sd, c2, wf))
+                      if c2 > 0 else None)
+                w1 = (cost.task_work(self._work_item(sd, c1, wf))
+                      if c1 > 0 else None)
                 tasks.append((sd, node, w2, w1))
-        return _StepPlan(messages, ghost_sds, tasks)
+        return _StepPlan(messages, dst.tolist(), tasks)
 
     def _start_step(self, step: int) -> None:
         self._current_step = step
@@ -681,7 +670,6 @@ class DistributedSolver:
                 recovery=bool(bal.recovery or forced)))
             # Algorithm 1 line 35: new measurement window either way
             self.cluster.reset_counters()
-            self.cluster.rebase_busy_cursor(self._busy_cursor)
 
         if step + 1 < self._num_steps:
             if migration_futs:
@@ -772,7 +760,6 @@ class DistributedSolver:
             self._requeue_orphan(task)
         # new measurement window: the old one mixes dead and live nodes
         cluster.reset_counters()
-        cluster.rebase_busy_cursor(self._busy_cursor)
 
     def _on_join(self, event: ChurnEvent) -> None:
         """Provision the scheduled joiner; it is absorbed at the next
