@@ -12,16 +12,17 @@ SD ids follow the dual-graph convention of :mod:`repro.partition.graph`:
 
 Besides the per-SD :class:`Rect` queries, the grid answers the same
 geometry as whole-mesh arrays (:meth:`SubdomainGrid.halo_pairs`,
-:meth:`SubdomainGrid.window_segments`, :attr:`SubdomainGrid.centers`),
-computed in closed form from the cut positions and cached: they depend
-on the SD layout and the stencil radius only, never on ownership, so
-the solver's plan compile and the balancer's transfer selection reduce
-to NumPy passes over them.
+:meth:`SubdomainGrid.window_segments`, :meth:`SubdomainGrid.block_groups`,
+:attr:`SubdomainGrid.centers`), computed in closed form from the cut
+positions and cached: they depend on the SD layout and the stencil
+radius only, never on ownership, so the solver's plan compile, its
+step-barrier numerics and the balancer's transfer selection reduce to
+NumPy passes over them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -162,6 +163,7 @@ class SubdomainGrid:
         _frozen(self.centers, self.rows, self.cols)
         self._halo_pairs: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._segments: Dict[int, Tuple[tuple, tuple]] = {}
+        self._block_groups: Optional[List[Tuple]] = None
 
     # -- id mapping ---------------------------------------------------------
     @property
@@ -284,6 +286,31 @@ class SubdomainGrid:
                                             radius)))
             self._segments[radius] = segs
         return segs
+
+    def block_groups(self) -> List[Tuple[int, int, np.ndarray, np.ndarray,
+                                         np.ndarray]]:
+        """Every SD grouped by block shape, for stacked block gathers.
+
+        Returns one ``(rows, cols, sds, y0, x0)`` entry per distinct SD
+        block shape (at most four: uneven cuts give the leading SDs one
+        more DP): the SD ids of that shape in ascending order, with their
+        rectangles' origins.  The ghost-padded block of SD ``sds[i]``
+        is the ``(rows + 2R) x (cols + 2R)`` window at ``(y0[i],
+        x0[i])`` of the field zero-bordered by ``R``, for every radius
+        ``R`` — so the table needs no radius and is cached once
+        (read-only arrays).
+        """
+        if self._block_groups is None:
+            iy, ix = np.divmod(np.arange(self.num_subdomains), self.sd_nx)
+            y0, x0 = self._y_cuts[iy], self._x_cuts[ix]
+            shapes = self.rows * (self.mesh_nx + 1) + self.cols
+            groups = []
+            for key in np.unique(shapes):
+                sds = np.nonzero(shapes == key)[0]
+                rows, cols = divmod(int(key), self.mesh_nx + 1)
+                groups.append((rows, cols) + _frozen(sds, y0[sds], x0[sds]))
+            self._block_groups = groups
+        return self._block_groups
 
     def ownership_grid(self, parts: np.ndarray) -> np.ndarray:
         """Reshape a per-SD part array into the ``(sd_ny, sd_nx)`` grid."""

@@ -3,10 +3,13 @@
 The mesh is divided into SDs that are updated by asynchronous tasks on a
 thread pool (:class:`repro.amt.executor.TaskExecutor`) sharing the global
 temperature arrays — the paper's "multi-threaded version using
-asynchronous execution, e.g. futurization".  Each timestep submits one
-task per SD; tasks read the previous-step array (including their ghost
-halo, all local in shared memory) and write their block of the next-step
-array, so tasks within a step are data-race free by construction.
+asynchronous execution, e.g. futurization".  Each timestep copies the
+previous-step array once into a zero-bordered field
+(:func:`repro.solver.kernel.pad_field`, the ``Dc`` condition) and
+submits one task per SD; a task's ghost-padded block is a slice of that
+field (all local in shared memory), and it writes its block of the
+next-step array, so tasks within a step are data-race free by
+construction.
 
 NumPy's convolution releases the GIL for the bulk of each task, so this
 runtime exhibits genuine parallelism; the *deterministic* scaling studies
@@ -24,7 +27,8 @@ from ..amt.executor import TaskExecutor
 from ..amt.future import when_all
 from ..mesh.grid import UniformGrid
 from ..mesh.subdomain import SubdomainGrid
-from .kernel import NonlocalOperator, check_operator_matches, stable_dt
+from .kernel import (NonlocalOperator, check_operator_matches, pad_field,
+                     stable_dt)
 from .model import NonlocalHeatModel
 from .serial import SolveResult
 from .exact import step_error
@@ -76,17 +80,13 @@ class AsyncSolver:
             raise ValueError(f"dt must be positive, got {self.dt}")
         self.num_threads = num_threads
 
-    def _sd_task(self, sd: int, u_old: np.ndarray, u_new: np.ndarray,
-                 b: Optional[np.ndarray], t: float) -> None:
-        """Update one SD block: read halo from ``u_old``, write ``u_new``."""
+    def _sd_task(self, sd: int, field: np.ndarray, u_old: np.ndarray,
+                 u_new: np.ndarray, b: Optional[np.ndarray]) -> None:
+        """Update one SD block: read its padded block from ``field`` (the
+        zero-bordered ``u_old``), write ``u_new``."""
         R = self.operator.radius
         rect = self.sd_grid.rect(sd)
-        halo = self.sd_grid.halo_rect(sd, R)
-        # assemble the zero-extended padded block
-        padded = np.zeros((rect.height + 2 * R, rect.width + 2 * R))
-        dy0 = halo.y0 - (rect.y0 - R)
-        dx0 = halo.x0 - (rect.x0 - R)
-        padded[dy0:dy0 + halo.height, dx0:dx0 + halo.width] = u_old[halo.slices()]
+        padded = field[rect.y0:rect.y1 + 2 * R, rect.x0:rect.x1 + 2 * R]
         rhs = self.operator.apply_block(padded)
         if b is not None:
             rhs = rhs + b[rect.slices()]
@@ -110,7 +110,8 @@ class AsyncSolver:
         with TaskExecutor(self.num_threads, name="async-solver") as ex:
             for _ in range(num_steps):
                 b = None if self.source is None else self.source(t)
-                futs = [ex.async_(self._sd_task, sd, u_old, u_new, b, t)
+                field = pad_field(u_old, self.operator.radius)
+                futs = [ex.async_(self._sd_task, sd, field, u_old, u_new, b)
                         for sd in sds]
                 for f in when_all(futs).get():
                     f.get()  # surface any task exception

@@ -17,8 +17,10 @@ Two entry points cover every solver in the repository:
   (mode ``same``), used by the serial solver and the manufactured
   source;
 * :meth:`KernelBackend.apply_padded` — ``L(u)`` for one SD block given
-  its ghost-padded neighborhood (mode ``valid``), the hot path of the
-  async and distributed solvers.
+  its ghost-padded neighborhood (mode ``valid``), or for a stack of
+  equally shaped blocks at once — the hot path of the async and
+  distributed solvers (the distributed solver advances every SD of a
+  step with a few stacked calls).
 
 All backends must agree with :func:`apply_operator_reference` — an
 independent shifted-slice implementation kept free of ``scipy`` — to
@@ -76,9 +78,16 @@ class KernelBackend(ABC):
         """``L(u)`` for the interior block of a ghost-padded array.
 
         ``padded`` extends the target block by the stencil radius ``R``
-        on every side; the result has shape ``padded.shape - 2R`` per
-        axis.
+        on every side, either one block ``(h + 2R, w + 2R)`` or a stack
+        ``(n, h + 2R, w + 2R)`` of them; the result has shape ``(h, w)``
+        or ``(n, h, w)``.  Block ``i`` of a stacked result must equal
+        the single-block apply of ``padded[i]`` bit for bit.
         """
+
+    def _apply_each(self, stack: np.ndarray) -> np.ndarray:
+        """A stacked apply as a per-block loop (backends without a
+        batched kernel)."""
+        return np.stack([self.apply_padded(block) for block in stack])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} R={self.stencil.radius}>"
@@ -99,7 +108,8 @@ class ConvolutionKernelBackend(KernelBackend):
 
     @abstractmethod
     def _convolve_valid(self, padded: np.ndarray) -> np.ndarray:
-        """Linear convolution restricted to fully overlapping offsets."""
+        """Linear convolution restricted to fully overlapping offsets,
+        over the last two axes (``padded`` may be a stack of blocks)."""
 
     def apply_full(self, u: np.ndarray) -> np.ndarray:
         conv = self._convolve_same(u)
@@ -111,8 +121,8 @@ class ConvolutionKernelBackend(KernelBackend):
         if self.stencil.mask.shape[0] == 1 and r > 0:
             # a single-row mask does not shrink the y axis under a
             # valid convolution; cut the y halo explicitly (1-D model)
-            conv = conv[r:-r, :]
-        core = padded[r:-r, r:-r] if r > 0 else padded
+            conv = conv[..., r:-r, :]
+        core = padded[..., r:-r, r:-r] if r > 0 else padded
         return self.scale * (conv - self.stencil.weight_sum * core)
 
 

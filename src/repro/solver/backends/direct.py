@@ -25,4 +25,9 @@ class DirectBackend(ConvolutionKernelBackend):
         return oaconvolve(u, self.stencil.mask, mode="same")
 
     def _convolve_valid(self, padded: np.ndarray) -> np.ndarray:
-        return oaconvolve(padded, self.stencil.mask, mode="valid")
+        # a stack convolves every block with the mask over the last two
+        # axes; scipy picks its block sizes from those axes alone, so
+        # each block's result equals its single-block convolution
+        mask = self.stencil.mask.reshape(
+            (1,) * (padded.ndim - 2) + self.stencil.mask.shape)
+        return oaconvolve(padded, mask, mode="valid", axes=(-2, -1))

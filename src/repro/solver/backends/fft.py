@@ -46,11 +46,12 @@ class FFTBackend(ConvolutionKernelBackend):
         self._mask_fft: Dict[Tuple[int, int], np.ndarray] = {}
         self._lock = threading.Lock()
 
-    def _plan(self, in_shape: Tuple[int, int]):
-        """``(fft_shape, mask_fft)`` for an input of ``in_shape``."""
+    def _plan(self, in_shape: Tuple[int, ...]):
+        """``(fft_shape, mask_fft)`` for an input (or stack of inputs)
+        whose last two axes are ``in_shape[-2:]``."""
         mh, mw = self.stencil.mask.shape
-        fshape = (sfft.next_fast_len(in_shape[0] + mh - 1),
-                  sfft.next_fast_len(in_shape[1] + mw - 1))
+        fshape = (sfft.next_fast_len(in_shape[-2] + mh - 1),
+                  sfft.next_fast_len(in_shape[-1] + mw - 1))
         with self._lock:
             H = self._mask_fft.get(fshape)
             if H is None:
@@ -72,6 +73,28 @@ class FFTBackend(ConvolutionKernelBackend):
         return full[oy:oy + u.shape[0], ox:ox + u.shape[1]]
 
     def _convolve_valid(self, padded: np.ndarray) -> np.ndarray:
+        """The valid window, transforming only the rows it needs.
+
+        The same arithmetic as ``irfft2(rfft2(padded, s) * H, s)``
+        cropped to the valid window, split into its per-axis passes:
+        the forward real transform runs on the ``P`` data rows only
+        (the zero rows up to the FFT size transform to zero), and the
+        inverse real transform on the valid rows ``[M - 1, P)`` only.
+        pocketfft scales the inverse by ``1 / (F0 * F1)`` after its
+        last pass either way, so the result is bit-identical to the
+        cropped two-dimensional transform pair.  Batched over any
+        leading (stack) axes.
+        """
         mh, mw = self.stencil.mask.shape
-        full = self._convolve_full(padded)
-        return full[mh - 1:padded.shape[0], mw - 1:padded.shape[1]]
+        p0, p1 = padded.shape[-2:]
+        (f0, f1), H = self._plan(padded.shape)
+        # the intermediate spectra are private temporaries: transforming
+        # them in place spares two spectrum-sized allocations per call
+        spec = sfft.fft(sfft.rfft(padded, n=f1, axis=-1), n=f0, axis=-2,
+                        overwrite_x=True)
+        spec *= H
+        rows = sfft.ifft(spec, axis=-2, norm="forward",
+                         overwrite_x=True)[..., mh - 1:p0, :]
+        conv = sfft.irfft(rows, n=f1, axis=-1, norm="forward")
+        conv *= 1.0 / (f0 * f1)
+        return conv[..., mw - 1:p1]

@@ -126,6 +126,8 @@ class SparseBackend(KernelBackend):
         return (A @ u.reshape(-1)).reshape(u.shape)
 
     def apply_padded(self, padded: np.ndarray) -> np.ndarray:
+        if padded.ndim == 3:
+            return self._apply_each(padded)
         r = self.stencil.radius
         out_shape = (padded.shape[0] - 2 * r, padded.shape[1] - 2 * r)
         A = self._padded_matrix(padded.shape)

@@ -15,10 +15,16 @@ Each timestep reproduces the schedule of the paper's Fig. 4:
    SDs, migration messages are charged, counters are reset, and the next
    step starts once migrations have arrived.
 
-Numerics are real (each SD block update is executed with the NumPy
+Numerics are real (every SD block update is computed with the NumPy
 kernel and validated against the serial solver); *time* is virtual (see
-DESIGN.md substitution 1).  Set ``compute_numerics=False`` for pure
-scaling studies where only the schedule matters.
+DESIGN.md substitution 1).  The SD tasks carry virtual work only: the
+numeric updates of a step run at its barrier, as a few stacked kernel
+applies over windows of one zero-bordered copy of the field (DESIGN.md,
+*Step-batched SD numerics*).  Every SD update of step ``k`` reads only
+the step-``k`` field and writes only its own rectangle, so where in
+virtual time the update runs cannot change the result.  Set
+``compute_numerics=False`` for pure scaling studies where only the
+schedule matters.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..amt.cluster import (ConstantSpeed, Network, SimCluster, SimTask,
                            SpeedTrace, StraggleSpeed)
@@ -42,10 +49,17 @@ from ..mesh.decomposition import BYTES_PER_DP, Decomposition
 from ..mesh.grid import UniformGrid
 from ..mesh.subdomain import SubdomainGrid
 from .exact import step_error
-from .kernel import NonlocalOperator, check_operator_matches, stable_dt
+from .kernel import (NonlocalOperator, check_operator_matches, pad_field,
+                     stable_dt)
 from .model import NonlocalHeatModel
 
 __all__ = ["DistributedResult", "DistributedSolver"]
+
+#: Cap on the padded DPs of one stacked kernel call (2^20 float64 DPs,
+#: 8 MB of blocks; the FFT backend's transforms of them stay near
+#: 60 MB).  The paper-scale drift run (1024 SDs of 16x16 DPs at R = 8)
+#: fits one call per step.
+_MAX_STACK_DPS = 1 << 20
 
 
 class DistributedResult:
@@ -335,15 +349,30 @@ class DistributedSolver:
         self._recovery_futs: Dict[int, Future] = {}
         self.domain_mask = domain_mask
         if domain_mask is not None:
-            if domain_mask.sd_grid is not sd_grid and (
-                    (domain_mask.sd_grid.sd_nx, domain_mask.sd_grid.sd_ny)
-                    != (sd_grid.sd_nx, sd_grid.sd_ny)):
-                raise ValueError("domain mask built for a different SD grid")
+            mg = domain_mask.sd_grid
+            if mg is not sd_grid and (
+                    (mg.mesh_nx, mg.mesh_ny, mg.sd_nx, mg.sd_ny)
+                    != (sd_grid.mesh_nx, sd_grid.mesh_ny,
+                        sd_grid.sd_nx, sd_grid.sd_ny)):
+                raise ValueError(
+                    f"domain mask built for {mg.sd_nx}x{mg.sd_ny} SDs on "
+                    f"a {mg.mesh_nx}x{mg.mesh_ny} mesh, solver has "
+                    f"{sd_grid.sd_nx}x{sd_grid.sd_ny} SDs on a "
+                    f"{sd_grid.mesh_nx}x{sd_grid.mesh_ny} mesh")
             self._active = domain_mask.active
             self._inactive_dp = ~domain_mask.dp_mask()
         else:
             self._active = None
             self._inactive_dp = None
+        #: ``(rows, cols, y0, x0)`` per SD block shape, active SDs only:
+        #: the stacked gathers of :meth:`_advance_field`
+        self._blocks = []
+        for rows, cols, sds, y0, x0 in sd_grid.block_groups():
+            if self._active is not None:
+                keep = self._active[sds]
+                y0, x0 = y0[keep], x0[keep]
+            if len(y0):
+                self._blocks.append((rows, cols, y0, x0))
         # validate ownership
         Decomposition(sd_grid, self.parts, num_nodes)
 
@@ -552,62 +581,68 @@ class DistributedSolver:
             spawn_count[node] += 1
             return [self.cluster.timer(spawn_count[node] * self.spawn_overhead)]
 
+        # the tasks carry virtual work only; the step's numerics run
+        # at the barrier (see _advance_field)
         sd_futures: List[Future] = []
         if not self.overlap:
             for sd, node, w in plan.tasks:
-                action = (self._make_action(sd, b)
-                          if self.compute_numerics else None)
                 sd_futures.append(self.cluster.submit(
-                    node, work=w, action=action,
+                    node, work=w,
                     deps=deps_of_sd.get(sd, []) + spawn_deps(node),
                     label=f"sd{sd}", tag=sd))
         else:
             for sd, node, w2, w1 in plan.tasks:
-                action = (self._make_action(sd, b)
-                          if self.compute_numerics else None)
                 if w2 is not None:
-                    case2_action = action if w1 is None else None
                     sd_futures.append(self.cluster.submit(
-                        node, work=w2, action=case2_action,
-                        deps=spawn_deps(node), label=f"sd{sd}-c2", tag=sd))
+                        node, work=w2, deps=spawn_deps(node),
+                        label=f"sd{sd}-c2", tag=sd))
                 if w1 is not None:
                     sd_futures.append(self.cluster.submit(
-                        node, work=w1, action=action,
+                        node, work=w1,
                         deps=deps_of_sd.get(sd, []) + spawn_deps(node),
                         label=f"sd{sd}-c1", tag=sd))
 
-        def barrier(done: Future, s: int = step) -> None:
-            # surface kernel exceptions instead of silently continuing
-            # with a half-updated field
-            for fut in done.get():
-                if fut.has_exception():
-                    if self._failure is None:
-                        try:
-                            fut.get()
-                        except BaseException as exc:  # noqa: BLE001
-                            self._failure = exc
-                    return  # abandon the run; run() re-raises
+        def barrier(_done: Future, s: int = step) -> None:
+            if self.compute_numerics:
+                try:
+                    self._advance_field(b)
+                except Exception as exc:  # noqa: BLE001 - run() re-raises
+                    # abandon the run before _end_step swaps the fields:
+                    # u_old keeps the last completed step
+                    self._failure = exc
+                    return
             self._end_step(s)
 
         local_when_all(sd_futures)._add_callback(barrier)
 
-    def _make_action(self, sd: int, b: Optional[np.ndarray]):
-        """The real numeric update for SD ``sd`` (reads u_old, writes u_new)."""
-        def action() -> None:
-            R = self.operator.radius
-            rect = self.sd_grid.rect(sd)
-            halo = self.sd_grid.halo_rect(sd, R)
-            padded = np.zeros((rect.height + 2 * R, rect.width + 2 * R))
-            dy0 = halo.y0 - (rect.y0 - R)
-            dx0 = halo.x0 - (rect.x0 - R)
-            padded[dy0:dy0 + halo.height,
-                   dx0:dx0 + halo.width] = self._u_old[halo.slices()]
-            rhs = self.operator.apply_block(padded)
-            if b is not None:
-                rhs = rhs + b[rect.slices()]
-            self._u_new[rect.slices()] = (self._u_old[rect.slices()]
-                                          + self.dt * rhs)
-        return action
+    def _advance_field(self, b: Optional[np.ndarray]) -> None:
+        """Every active SD's numeric update of one step (reads u_old,
+        writes u_new), as a few stacked kernel applies.
+
+        Each SD's padded block is a window of one zero-bordered copy of
+        ``u_old``, gathered per block shape by fancy indexing on the SD
+        origins; the write-back ``u_old + dt * (L(u) + b)`` runs the
+        per-SD elementwise operations in the per-SD order, and the
+        stacked apply equals the per-block one bit for bit, so the field
+        is bit-identical to updating SD by SD.
+        """
+        R = self.operator.radius
+        u_old, u_new = self._u_old, self._u_new
+        field = pad_field(u_old, R)
+        for rows, cols, y0, x0 in self._blocks:
+            window = (rows + 2 * R, cols + 2 * R)
+            chunk = max(1, _MAX_STACK_DPS // (window[0] * window[1]))
+            padded = sliding_window_view(field, window)
+            old = sliding_window_view(u_old, (rows, cols))
+            new = sliding_window_view(u_new, (rows, cols), writeable=True)
+            src = (None if b is None
+                   else sliding_window_view(b, (rows, cols)))
+            for i in range(0, len(y0), chunk):
+                ys, xs = y0[i:i + chunk], x0[i:i + chunk]
+                rhs = self.operator.apply_block(padded[ys, xs])
+                if src is not None:
+                    rhs = rhs + src[ys, xs]
+                new[ys, xs] = old[ys, xs] + self.dt * rhs
 
     def _end_step(self, step: int) -> None:
         result = self._result

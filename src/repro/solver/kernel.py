@@ -17,7 +17,8 @@ name (default ``"auto"``: radius heuristic, overridable via the
 ``REPRO_KERNEL_BACKEND`` environment variable).  It exposes
 :meth:`~NonlocalOperator.apply` for the full grid and
 :meth:`~NonlocalOperator.apply_block` for SD-local application on a
-padded (ghost-augmented) block.
+padded (ghost-augmented) block or a stack of them; :func:`pad_field`
+builds the zero-bordered field such blocks are windows of.
 
 :func:`assemble_sparse_operator` remains the slow, loop-based explicit
 matrix used in tests to cross-validate every backend entry by entry.
@@ -36,7 +37,7 @@ from .backends import KernelBackend, make_backend
 from .model import NonlocalHeatModel
 
 __all__ = ["NonlocalOperator", "assemble_sparse_operator",
-           "check_operator_matches", "stable_dt"]
+           "check_operator_matches", "pad_field", "stable_dt"]
 
 
 def check_operator_matches(operator: "NonlocalOperator",
@@ -127,17 +128,25 @@ class NonlocalOperator:
         return self.backend.apply_full(u)
 
     def apply_block(self, padded: np.ndarray, radius: Optional[int] = None) -> np.ndarray:
-        """``L(u)`` on an SD block given its ghost-padded neighborhood.
+        """``L(u)`` on SD blocks given their ghost-padded neighborhoods.
 
         ``padded`` must extend the target block by the stencil radius on
         every side (ghost values from neighbouring SDs, zeros where the
-        halo leaves the domain).  Returns the update for the interior
-        block only (shape reduced by ``2*radius`` per axis).
+        halo leaves the domain): one block ``(h + 2R, w + 2R)`` or a
+        stack ``(n, h + 2R, w + 2R)`` of equally shaped blocks, such as
+        windows of :func:`pad_field`.  Returns the update for the
+        interior block(s) only (the last two axes reduced by ``2*radius``);
+        each block of a stacked result equals its single-block apply bit
+        for bit.
         """
         r = self.radius if radius is None else radius
         if r != self.radius:
             raise ValueError(f"padding radius {r} != stencil radius {self.radius}")
-        if padded.shape[0] <= 2 * r or padded.shape[1] <= 2 * r:
+        if padded.ndim not in (2, 3):
+            raise ValueError(
+                f"padded must be one block or a stack of blocks, "
+                f"got shape {padded.shape}")
+        if padded.shape[-2] <= 2 * r or padded.shape[-1] <= 2 * r:
             raise ValueError(
                 f"padded block {padded.shape} too small for radius {r}")
         return self.backend.apply_padded(padded)
@@ -149,6 +158,20 @@ class NonlocalOperator:
         the simulated cluster so task costs track the actual kernel cost.
         """
         return 2.0 * self.stencil.num_neighbors
+
+
+def pad_field(u: np.ndarray, radius: int) -> np.ndarray:
+    """``u`` copied into a zero border ``radius`` DPs wide.
+
+    The zeros are the ``Dc`` condition, so the ghost-padded block of the
+    SD whose rectangle starts at ``(y0, x0)`` with shape ``(h, w)`` is
+    the window ``[y0, y0 + h + 2R) x [x0, x0 + w + 2R)`` of the result —
+    the one place the SD solvers build padded blocks from.
+    """
+    ny, nx = u.shape
+    out = np.zeros((ny + 2 * radius, nx + 2 * radius))
+    out[radius:radius + ny, radius:radius + nx] = u
+    return out
 
 
 def assemble_sparse_operator(model: NonlocalHeatModel,

@@ -17,11 +17,14 @@ import pytest
 from repro.experiments import build, run_scenario
 
 #: small but feature-covering: balancing + drift, fault + recovery,
-#: rack topology with per-link contention
+#: rack topology with per-link contention, and real numerics on
+#: constant-speed nodes (numerics run at the step barrier, so those
+#: SD tasks batch into waves like schedule-only ones)
 SCENARIOS = [
     ("hetero_drift", {"steps": 6}),
     ("fault_recovery", {"steps": 4}),
     ("rack_locality", {"steps": 4}),
+    ("quickstart", {"steps": 4}),
 ]
 
 

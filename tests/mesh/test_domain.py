@@ -136,6 +136,26 @@ class TestEndToEndLShapeSolve:
         assert np.all(res.u[~mask.dp_mask()] == 0.0)
         assert res.makespan > 0
 
+    def test_mask_for_another_mesh_rejected_at_construction(self):
+        """A mask whose SD grid has the same SD counts but covers a
+        different mesh fails in the constructor, not mid-run."""
+        from repro.mesh.grid import UniformGrid
+        from repro.solver.distributed import DistributedSolver
+        from repro.solver.model import NonlocalHeatModel
+
+        grid = UniformGrid(32, 32)
+        model = NonlocalHeatModel(epsilon=2 * grid.h)
+        sg = SubdomainGrid(32, 32, 4, 4)
+        mask = DomainMask.l_shape(SubdomainGrid(64, 64, 4, 4))
+        with pytest.raises(ValueError, match="domain mask built for"):
+            DistributedSolver(model, grid, sg, np.zeros(16, dtype=int),
+                              num_nodes=1, domain_mask=mask)
+        # an equal grid object built separately is accepted
+        DistributedSolver(model, grid, sg, np.zeros(16, dtype=int),
+                          num_nodes=1,
+                          domain_mask=DomainMask.l_shape(
+                              SubdomainGrid(32, 32, 4, 4)))
+
     def test_masked_solution_matches_serial_with_zeroing(self):
         """The masked distributed solve equals a serial solve that
         re-applies the zero condition on the void every step."""
