@@ -106,7 +106,10 @@ def build_stencil(h: float, epsilon: float,
         raise ValueError(f"dim must be 1 or 2, got {dim}")
 
     inside = dist <= epsilon * (1 + 1e-12)
-    r = np.where(inside, dist / epsilon, 0.0)
+    # the tolerance admits rim points a rounding error past eps; they sit
+    # on the rim (r = 1), where e.g. the linear J = 1 - r must give 0,
+    # not a negative weight
+    r = np.where(inside, np.minimum(dist / epsilon, 1.0), 0.0)
     mask = np.where(inside, influence(r), 0.0).astype(np.float64)
     if dim == 2:
         mask[radius, radius] = 0.0  # center: (u_i - u_i) contributes nothing

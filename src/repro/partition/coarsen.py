@@ -11,7 +11,7 @@ edges — the invariant the property tests assert.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -79,15 +79,9 @@ def contract(graph: Graph, match: np.ndarray) -> Tuple[Graph, np.ndarray]:
     coarse_vwgt = np.zeros(next_id)
     np.add.at(coarse_vwgt, fine_to_coarse, graph.vwgt)
 
-    edges: List[Tuple[int, int]] = []
-    weights: List[float] = []
-    for v in range(n):
-        cv = int(fine_to_coarse[v])
-        for u, w in zip(graph.neighbors(v), graph.edge_weights(v)):
-            cu = int(fine_to_coarse[u])
-            if cv < cu:  # visit each fine edge once, drop contracted pairs
-                edges.append((cv, cu))
-                weights.append(float(w))
+    cv = fine_to_coarse[graph.edge_owners()]
+    cu = fine_to_coarse[graph.adjncy]
+    keep = cv < cu  # visit each fine edge once, drop contracted pairs
 
     coords = None
     if graph.coords is not None:
@@ -96,8 +90,9 @@ def contract(graph: Graph, match: np.ndarray) -> Tuple[Graph, np.ndarray]:
                   graph.coords * graph.vwgt[:, None])
         coords /= np.maximum(coarse_vwgt, 1e-300)[:, None]
 
-    coarse = graph_from_edges(next_id, edges, vwgt=coarse_vwgt,
-                              edge_weights=weights, coords=coords)
+    coarse = graph_from_edges(next_id, np.column_stack((cv[keep], cu[keep])),
+                              vwgt=coarse_vwgt,
+                              edge_weights=graph.adjwgt[keep], coords=coords)
     return coarse, fine_to_coarse
 
 

@@ -9,15 +9,30 @@ builders for the structured grids used throughout the reproduction.
 Design notes (following the numpy guide): adjacency is stored as two int64
 arrays (``xadj``/``adjncy``) plus parallel weight arrays, so coarsening and
 refinement sweep contiguous memory instead of chasing dict pointers.
+
+The passes that touch every edge are numpy passes over those arrays, with
+:meth:`Graph.edge_owners` (``repeat(arange(n), degree)``) as the CSR row
+of each entry: :func:`graph_from_edges` merges duplicates with one
+``unique``/``bincount`` over ``min * n + max`` keys and orders the CSR
+with a ``lexsort``; :func:`induced_subgraph`, graph contraction, the FM
+gains, the edge cut and the grow seeding filter and sum whole edge
+arrays.  ``bincount`` adds in input order, so a merged weight equals a
+running per-key sum bit for bit.  A per-vertex sum equals ``np.sum``
+over that vertex's CSR slice while it has fewer than 8 terms (numpy
+sums longer runs pairwise); on the integer and quarter edge weights the
+partitioner builds, every order gives the same sum, so partitions do
+not change.  The move loops (FM, matching, growing) stay per vertex:
+each move changes the next move's inputs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Graph", "grid_dual_graph", "graph_from_edges"]
+__all__ = ["Graph", "grid_dual_graph", "graph_from_edges",
+           "induced_subgraph"]
 
 
 class Graph:
@@ -89,6 +104,10 @@ class Graph:
     def degree(self, v: int) -> int:
         """Number of incident edges of ``v``."""
         return int(self.xadj[v + 1] - self.xadj[v])
+
+    def edge_owners(self) -> np.ndarray:
+        """The vertex each ``adjncy`` entry belongs to (CSR row ids)."""
+        return np.repeat(np.arange(self.num_vertices), np.diff(self.xadj))
 
     def total_vertex_weight(self) -> float:
         """Sum of all vertex weights."""
@@ -165,42 +184,61 @@ def graph_from_edges(num_vertices: int,
                      coords: Optional[np.ndarray] = None) -> Graph:
     """Build a :class:`Graph` from an undirected edge list.
 
-    Each edge ``(u, v)`` is stored in both directions.  Duplicate edges
-    are merged with weights summed (this is what graph contraction needs).
+    Each edge ``(u, v)`` is stored in both directions, neighbours in
+    ascending order.  Duplicate edges are merged with weights summed in
+    input order (this is what graph contraction needs).  ``edges`` may
+    be an ``(E, 2)`` integer array.
     """
-    edge_list = list(edges)
+    n = num_vertices
+    ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                      dtype=np.int64).reshape(-1, 2)
     if edge_weights is None:
-        weights: List[float] = [1.0] * len(edge_list)
+        weights = np.ones(len(ends))
     else:
-        weights = list(edge_weights)
-        if len(weights) != len(edge_list):
+        weights = np.asarray(edge_weights, dtype=np.float64).reshape(-1)
+        if len(weights) != len(ends):
             raise ValueError("edge_weights must parallel edges")
-    merged: Dict[Tuple[int, int], float] = {}
-    for (u, v), w in zip(edge_list, weights):
+    lo = ends.min(axis=1)
+    hi = ends.max(axis=1)
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    if bad.any():
+        u, v = (int(x) for x in ends[np.argmax(bad)])
         if u == v:
             raise ValueError(f"self-loop ({u},{v}) not allowed")
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            raise ValueError(f"edge ({u},{v}) out of range")
-        key = (min(u, v), max(u, v))
-        merged[key] = merged.get(key, 0.0) + float(w)
+        raise ValueError(f"edge ({u},{v}) out of range")
+    # one key per undirected edge; bincount adds each key's weights in
+    # input order, exactly as a running per-key sum would
+    keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+    merged = np.bincount(inverse, weights=weights, minlength=len(keys))
+    src = np.concatenate((keys // n, keys % n))
+    dst = np.concatenate((keys % n, keys // n))
+    order = np.lexsort((dst, src))
+    xadj = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=xadj[1:])
+    return Graph(xadj, dst[order], vwgt=None if vwgt is None else np.asarray(vwgt),
+                 adjwgt=np.concatenate((merged, merged))[order], coords=coords)
 
-    adj: List[List[Tuple[int, float]]] = [[] for _ in range(num_vertices)]
-    for (u, v), w in merged.items():
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    xadj = np.zeros(num_vertices + 1, dtype=np.int64)
-    adjncy = np.empty(2 * len(merged), dtype=np.int64)
-    adjwgt = np.empty(2 * len(merged), dtype=np.float64)
-    pos = 0
-    for v in range(num_vertices):
-        adj[v].sort()
-        for (u, w) in adj[v]:
-            adjncy[pos] = u
-            adjwgt[pos] = w
-            pos += 1
-        xadj[v + 1] = pos
-    return Graph(xadj, adjncy, vwgt=None if vwgt is None else np.asarray(vwgt),
-                 adjwgt=adjwgt, coords=coords)
+
+def induced_subgraph(graph: Graph, vertices: np.ndarray) -> Graph:
+    """The subgraph induced by ``vertices``; local vertex ``i`` is
+    ``vertices[i]``, and weights and coordinates carry over."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    local = np.full(graph.num_vertices, -1, dtype=np.int64)
+    local[vertices] = np.arange(len(vertices))
+    starts = graph.xadj[vertices]
+    deg = graph.xadj[vertices + 1] - starts
+    owner = np.repeat(np.arange(len(vertices)), deg)
+    # CSR slots of the selected vertices' adjacency, in vertex order
+    slots = (np.arange(int(deg.sum()))
+             + np.repeat(starts - (np.cumsum(deg) - deg), deg))
+    nbr = local[graph.adjncy[slots]]
+    keep = owner < nbr  # each inner edge once; outside neighbours are -1
+    coords = None if graph.coords is None else graph.coords[vertices]
+    return graph_from_edges(len(vertices),
+                            np.column_stack((owner[keep], nbr[keep])),
+                            vwgt=graph.vwgt[vertices],
+                            edge_weights=graph.adjwgt[slots][keep],
+                            coords=coords)
 
 
 def grid_dual_graph(nx: int, ny: int,

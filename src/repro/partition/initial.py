@@ -67,8 +67,11 @@ def grow_bisection(graph: Graph, target_weight: float,
     in_region = np.zeros(n, dtype=bool)
     grown = 0.0
 
-    # max-heap on gain via negated keys; lazy deletion with stamp checks
-    gain = np.zeros(n)
+    # max-heap on gain via negated keys; lazy deletion with stamp checks.
+    # Frontier gains start as (edges into region) - (edges out), i.e.
+    # minus the weighted degree
+    gain = -np.bincount(graph.edge_owners(), weights=graph.adjwgt,
+                        minlength=n)
     heap: list = []
     stamp = np.zeros(n, dtype=np.int64)
 
@@ -86,9 +89,6 @@ def grow_bisection(graph: Graph, target_weight: float,
                 gain[u] += 2.0 * w  # edge flips from "out" to "in"
                 push(int(u))
 
-    # seed the frontier gains: gain = (edges into region) - (edges out)
-    for v in range(n):
-        gain[v] = -float(graph.edge_weights(v).sum())
     absorb(seed_vertex)
 
     def would_overshoot(v: int) -> bool:

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .coarsen import CoarseLevel, coarsen_level
-from .graph import Graph, graph_from_edges, grid_dual_graph
+from .graph import Graph, grid_dual_graph, induced_subgraph
 from .initial import best_bisection
 from .refine import fm_refine_bisection
 
@@ -139,7 +139,7 @@ def _recurse(original: Graph, vertices: np.ndarray, targets: np.ndarray,
     if k == 1:
         parts[vertices] = first_part
         return
-    sub, _ = _induced_subgraph(original, vertices)
+    sub = induced_subgraph(original, vertices)
     k_left = k // 2
     frac_left = float(targets[:k_left].sum())
     local = multilevel_bisection(sub, frac_left, rng, balance=balance)
@@ -158,23 +158,6 @@ def _recurse(original: Graph, vertices: np.ndarray, targets: np.ndarray,
         _recurse(original, right,
                  targets[k_left:] / max(targets[k_left:].sum(), 1e-300),
                  first_part + k_left, parts, rng, balance)
-
-
-def _induced_subgraph(graph: Graph, vertices: np.ndarray):
-    """Induced subgraph plus the local->global vertex map."""
-    local_of = {int(v): i for i, v in enumerate(vertices)}
-    edges = []
-    weights = []
-    for i, v in enumerate(vertices):
-        for u, w in zip(graph.neighbors(int(v)), graph.edge_weights(int(v))):
-            j = local_of.get(int(u))
-            if j is not None and i < j:
-                edges.append((i, j))
-                weights.append(float(w))
-    coords = None if graph.coords is None else graph.coords[vertices]
-    sub = graph_from_edges(len(vertices), edges, vwgt=graph.vwgt[vertices],
-                           edge_weights=weights, coords=coords)
-    return sub, vertices
 
 
 def partition_sd_grid(nx: int, ny: int, k: int, seed: int = 0,

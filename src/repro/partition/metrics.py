@@ -38,13 +38,13 @@ def edge_cut(graph: Graph, parts: np.ndarray) -> float:
     bytes exchanged per timestep by the distributed solver.
     """
     parts = _check(graph, parts)
-    cut = 0.0
-    for v in range(graph.num_vertices):
-        nbrs = graph.neighbors(v)
-        wgts = graph.edge_weights(v)
-        mask = parts[nbrs] != parts[v]
-        cut += float(wgts[mask].sum())
-    return cut / 2.0  # every undirected edge was seen from both ends
+    owner = graph.edge_owners()
+    cut = parts[graph.adjncy] != parts[owner]
+    # per-vertex cut weights, then their running total in vertex order
+    per_vertex = np.bincount(owner[cut], weights=graph.adjwgt[cut],
+                             minlength=graph.num_vertices)
+    total = float(np.cumsum(per_vertex)[-1]) if len(per_vertex) else 0.0
+    return total / 2.0  # every undirected edge was seen from both ends
 
 
 def part_weights(graph: Graph, parts: np.ndarray, k: int) -> np.ndarray:

@@ -28,15 +28,17 @@ def compute_gains(graph: Graph, parts: np.ndarray) -> np.ndarray:
 
     ``gain[v] = (weight to other side) - (weight to own side)``; positive
     gain means the move reduces the cut by that amount.
+
+    Each side's weights are added one at a time in CSR order (see the
+    :mod:`repro.partition.graph` notes for how that compares with
+    ``np.sum``).
     """
     n = graph.num_vertices
-    gains = np.zeros(n)
-    for v in range(n):
-        nbrs = graph.neighbors(v)
-        wgts = graph.edge_weights(v)
-        same = parts[nbrs] == parts[v]
-        gains[v] = float(wgts[~same].sum() - wgts[same].sum())
-    return gains
+    owner = graph.edge_owners()
+    same = parts[graph.adjncy] == parts[owner]
+    w = graph.adjwgt
+    return (np.bincount(owner[~same], weights=w[~same], minlength=n)
+            - np.bincount(owner[same], weights=w[same], minlength=n))
 
 
 def _one_pass(graph: Graph, parts: np.ndarray, max_weight: np.ndarray) -> float:

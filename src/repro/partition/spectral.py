@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from .graph import Graph, graph_from_edges
+from .graph import Graph, induced_subgraph
 
 __all__ = ["fiedler_vector", "spectral_bisection", "spectral_partition"]
 
@@ -107,7 +107,7 @@ def _recurse(original: Graph, vertices: np.ndarray, k: int,
     if len(vertices) == 1:
         parts[vertices] = first
         return
-    sub = _induced(original, vertices)
+    sub = induced_subgraph(original, vertices)
     k_left = k // 2
     local = spectral_bisection(sub, target_fraction=k_left / k)
     left = vertices[local == 0]
@@ -117,17 +117,3 @@ def _recurse(original: Graph, vertices: np.ndarray, k: int,
         left, right = vertices[:half], vertices[half:]
     _recurse(original, left, k_left, first, parts)
     _recurse(original, right, k - k_left, first + k_left, parts)
-
-
-def _induced(graph: Graph, vertices: np.ndarray) -> Graph:
-    local_of = {int(v): i for i, v in enumerate(vertices)}
-    edges, weights = [], []
-    for i, v in enumerate(vertices):
-        for u, w in zip(graph.neighbors(int(v)), graph.edge_weights(int(v))):
-            j = local_of.get(int(u))
-            if j is not None and i < j:
-                edges.append((i, j))
-                weights.append(float(w))
-    coords = None if graph.coords is None else graph.coords[vertices]
-    return graph_from_edges(len(vertices), edges, vwgt=graph.vwgt[vertices],
-                            edge_weights=weights, coords=coords)

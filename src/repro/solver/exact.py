@@ -14,10 +14,14 @@ exactly.  This module provides:
     the numerical solution then matches ``w`` up to time-integration
     error only (used to isolate time error in tests).
   - ``"continuum"``: ``b = dw/dt - c ∫ J (w(y)-w(x)) dy`` with the
-    continuum integral evaluated by oversampled midpoint quadrature on a
-    refined grid (handles the boundary truncation of the ball exactly as
-    the continuum does).  This is the paper's setting; the numerical
-    error then shows the spatial-discretization convergence of Fig. 8.
+    continuum ball integral evaluated by midpoint quadrature on a grid
+    ``oversample`` times finer than the mesh, so the ball and its
+    truncation at the boundary (``w = 0`` on ``Dc``) are resolved well
+    below the discretization error.  This is the paper's setting; the
+    numerical error then shows the spatial-discretization convergence
+    of Fig. 8.  The spatial factor is rank one, so the quadrature is
+    evaluated only at the DPs, one axis at a time, without forming the
+    fine grid (DESIGN.md "Separable continuum quadrature").
 
 * :func:`interior_multiplier` — the closed-form Fourier-multiplier value
   of the ball integral for interior points (Bessel ``J1`` in 2-D), used
@@ -29,10 +33,11 @@ exactly.  This module provides:
 from __future__ import annotations
 
 import math
-from typing import Optional
+import numbers
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.signal import oaconvolve
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import j1
 
 from ..mesh.grid import UniformGrid
@@ -57,6 +62,43 @@ def _spatial_factor(x: np.ndarray, y: Optional[np.ndarray]) -> np.ndarray:
     if y is None:
         return sx[None, :]
     return np.sin(2 * np.pi * y)[:, None] * sx[None, :]
+
+
+def _dp_windows(fine: np.ndarray, q: int,
+                half: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Windows of a zero-extended fine 1-D factor centred on the DPs.
+
+    ``fine`` samples a factor at the ``n * q`` fine cell centres of one
+    axis; DP ``i`` sits exactly on fine cell ``i * q + (q - 1) // 2``
+    (``q`` odd).  Returns the ``(n, 2 * half + 1)`` matrix whose row
+    ``i`` holds the fine values from ``half`` cells below that DP to
+    ``half`` cells above it, zero outside the domain, and the factor's
+    values at the DPs.
+    """
+    padded = np.zeros(fine.size + 2 * half)
+    padded[half:half + fine.size] = fine
+    idx = np.arange(fine.size // q) * q + (q - 1) // 2
+    return sliding_window_view(padded, 2 * half + 1)[idx], fine[idx]
+
+
+def _separable_ball_sum(fine_x: np.ndarray, fine_y: Optional[np.ndarray],
+                        mask: np.ndarray,
+                        q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``'same'`` convolution of ``fine_y ⊗ fine_x`` with ``mask``,
+    at the DPs only, plus the field itself at the DPs.
+
+    The field is rank one and zero outside the domain, so the
+    convolution at DP ``(i, j)`` is ``Y[i] @ mask[::-1, ::-1] @ X[j]``
+    with ``Y``/``X`` the DP windows of each factor.  ``fine_y=None`` is
+    the 1-D case: a single-row mask and a row result.  Works for any
+    mask with odd sides.
+    """
+    wx, sx = _dp_windows(fine_x, q, mask.shape[1] // 2)
+    if fine_y is None:
+        wy, sy = np.ones((1, 1)), np.ones(1)
+    else:
+        wy, sy = _dp_windows(fine_y, q, mask.shape[0] // 2)
+    return wy @ mask[::-1, ::-1] @ wx.T, sy[:, None] * sx[None, :]
 
 
 def interior_multiplier(model: NonlocalHeatModel) -> float:
@@ -92,25 +134,32 @@ class ManufacturedProblem:
         ``"discrete"`` or ``"continuum"`` (see module docstring).
     oversample:
         Quadrature refinement factor for the continuum source (the fine
-        grid has spacing ``h / oversample``); quadrature error is
-        ``O((h/oversample)^2)``, subdominant to the ``O(h^2)``
-        discretization error being measured.
+        grid has spacing ``h / oversample``; even factors are rounded up
+        to the next odd one); quadrature error is ``O((h/oversample)^2)``,
+        subdominant to the ``O(h^2)`` discretization error being
+        measured.  Must be an ``int``.
     """
 
     def __init__(self, model: NonlocalHeatModel, grid: UniformGrid,
                  source_mode: str = "continuum", oversample: int = 5) -> None:
         if source_mode not in ("discrete", "continuum"):
             raise ValueError(f"unknown source mode {source_mode!r}")
-        if oversample < 1:
-            raise ValueError(f"oversample must be >= 1, got {oversample}")
+        if (isinstance(oversample, bool)
+                or not isinstance(oversample, numbers.Integral)
+                or oversample < 1):
+            raise ValueError(
+                f"oversample must be an int >= 1, got {oversample!r}")
+        if model.dim != grid.dim:
+            raise ValueError(
+                f"model is {model.dim}-D but grid is {grid.dim}-D")
         if oversample % 2 == 0:
-            # odd factors align fine cell centers exactly with coarse DPs
+            # odd factors put a fine cell centre exactly on every DP
             # (even factors would introduce an O(h/q) sampling offset)
             oversample += 1
         self.model = model
         self.grid = grid
         self.source_mode = source_mode
-        self.oversample = oversample
+        self.oversample = int(oversample)
         self._space = _spatial_factor(
             grid.x_coords(), None if grid.dim == 1 else grid.y_coords())
         if source_mode == "discrete":
@@ -142,52 +191,31 @@ class ManufacturedProblem:
     def _continuum_integral_of_space(self) -> np.ndarray:
         """``c ∫_{B_eps(x)} J (s(y) - s(x)) dy`` at every DP, by quadrature.
 
-        Evaluated on an ``oversample``-refined grid so the ball and the
-        boundary truncation (``w = 0`` on ``Dc``) are resolved well below
-        the coarse-grid discretization error.  The result is sampled back
-        at the coarse DPs (every ``oversample``-th fine cell center is
-        exactly a coarse DP when ``oversample`` is odd-centered; we use
-        the fine cell whose center is nearest, which for integer factors
-        aligns exactly at offset ``(oversample-1)//2`` for odd factors —
-        to keep alignment exact for any factor we evaluate the fine field
-        at fine cell centers and take the fine cell containing each
-        coarse DP center, then correct by evaluating ``s`` exactly at the
-        coarse DP for the local term).
+        Midpoint quadrature over the cells of a grid ``oversample`` (odd)
+        times finer than the mesh, so every DP is a fine cell centre:
+        ``c V_f (Σ_k m_k s(x + k h_f) - S s(x))`` with the fine ball mask
+        ``m`` (``S = Σ m``), and ``s = 0`` outside ``D``.  ``s`` is the
+        product of one sine per axis, so the sum is taken directly at
+        the DPs from per-axis windows (:func:`_separable_ball_sum`):
+        ``O(N M)`` work and ``O(N)`` memory for ``N`` DPs and a fine
+        radius of ``M`` cells.
         """
         q = self.oversample
         grid = self.grid
         fine_h = grid.h / q
         model = self.model
-        # fine stencil of the ball with J weights
         fine_stencil = build_stencil(fine_h, model.epsilon, model.influence,
                                      dim=model.dim)
-        mask = fine_stencil.mask
         cell = fine_h if model.dim == 1 else fine_h * fine_h
 
-        xf = (np.arange(grid.nx * q) + 0.5) * fine_h
-        yf = (None if model.dim == 1
-              else (np.arange(grid.ny * q) + 0.5) * fine_h)
-        sf = _spatial_factor(xf, yf)
+        def fine_factor(n: int) -> np.ndarray:
+            return np.sin(2 * np.pi * ((np.arange(n * q) + 0.5) * fine_h))
 
-        # zero-extension outside D is native to 'same' convolution
-        conv = oaconvolve(sf, mask, mode="same")
-        ball_weight = fine_stencil.weight_sum  # counts only in-ball cells
-        integral_fine = cell * (conv - ball_weight * sf)
-
-        # sample the fine field at (the fine cells containing) coarse DPs
-        if q == 1:
-            sampled = integral_fine
-        else:
-            # coarse DP center (i+0.5)h lies in fine cell i*q + q//2 for
-            # even q (center between cells -> take lower) and exactly at
-            # the center of fine cell i*q + (q-1)//2 for odd q.
-            idx = (np.arange(grid.nx) * q + (q - 1) // 2)
-            if model.dim == 1:
-                sampled = integral_fine[:, idx]
-            else:
-                idy = (np.arange(grid.ny) * q + (q - 1) // 2)
-                sampled = integral_fine[np.ix_(idy, idx)]
-        return model.c * sampled
+        ball, s = _separable_ball_sum(
+            fine_factor(grid.nx),
+            None if model.dim == 1 else fine_factor(grid.ny),
+            fine_stencil.mask, q)
+        return model.c * (cell * (ball - fine_stencil.weight_sum * s))
 
 
 def step_error(grid: UniformGrid, numeric: np.ndarray,

@@ -87,6 +87,9 @@ class NonlocalOperator:
     def __init__(self, model: NonlocalHeatModel, grid: UniformGrid,
                  stencil: Optional[NonlocalStencil] = None,
                  backend: Union[str, KernelBackend] = "auto") -> None:
+        if model.dim != grid.dim:
+            raise ValueError(
+                f"model is {model.dim}-D but grid is {grid.dim}-D")
         if stencil is None:
             stencil = build_stencil(grid.h, model.epsilon, model.influence,
                                     dim=model.dim)

@@ -51,6 +51,18 @@ class TestBuildStencil:
         # nearest axis neighbour has higher weight than farthest
         assert st.mask[R, R + 1] > st.mask[R, 2 * R]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_linear_influence_is_zero_on_a_rounded_rim(self, dim):
+        """eps = 5 cells of h/5 at h = 1/3: the rim point's distance
+        rounds a hair past eps, and ``1 - r`` must clamp to 0 there."""
+        h = 1 / 3
+        st = build_stencil(h=h / 5, epsilon=5 * h,
+                           influence=linear_influence, dim=dim)
+        row = st.mask_1d()
+        assert st.radius == 25
+        assert row[0] == row[-1] == 0.0
+        assert np.all(st.mask >= 0.0)
+
     def test_gaussian_influence_positive(self):
         st = build_stencil(h=0.1, epsilon=0.5, influence=gaussian_influence)
         assert st.weight_sum > 0
