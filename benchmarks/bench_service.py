@@ -14,21 +14,23 @@ subprocess (clean operator cache, true per-scenario ``ru_maxrss``):
   backlog.
 
 Each worker runs its scenario three times: once cold (warming the
-shared operator cache), once timed on the fast path (wave batching on
+shared operator cache), once timed on the fast path (batching on
 — ``submit_group``/``send_group`` DAGs plus the chunked arrival pump),
-and once timed with ``wave_batching=False`` (the strict
+and once timed with ``batching=False`` (the strict
 one-event-per-task/arrival path).  The cold and timed fast records
 must be bit-identical (seeded determinism) and the fast and forced-off
-records must be bit-identical (the barrier-aware batching parity
-contract); the wall-clock ratio is the fast path's speedup.
+records must be bit-identical (the batching parity contract); the
+wall-clock ratio is the fast path's speedup.  (The ``*_waves_off``
+result keys keep their historical names so committed records stay
+comparable; they hold the ``batching=False`` walls.)
 
 Two event rates are reported per scenario — they measure different
 things:
 
 * ``events_per_second`` — *logical* DES events (the forced-off run's
   ``events_processed``, one per task/delivery/arrival) divided by the
-  fast run's wall time.  Same semantics as ``bench_des_core.py``:
-  simulated events retired per wall second, comparable across tiers.
+  fast run's wall time: simulated events retired per wall second,
+  comparable across tiers.
 * ``telemetry_events_per_second`` — rows of the service event stream
   (arrival/shed/start/finish) per wall second; a service-level rate,
   *not* comparable to the DES metric (one job is 4 telemetry rows but
@@ -104,13 +106,13 @@ def _worker(name: str) -> None:
     spec = build(name)
     spec = spec.replace(horizon=spec.horizon * HORIZON_SCALE)
 
-    cold, _ = run_service_detailed(spec, wave_batching=True)
+    cold, _ = run_service_detailed(spec, batching=True)
     # best-of-3 walls for both modes: the speedup ratio is what the
     # floor guards, so suppress scheduler noise on both sides
     wall = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        record, cluster = run_service_detailed(spec, wave_batching=True)
+        record, cluster = run_service_detailed(spec, batching=True)
         wall = min(wall, time.perf_counter() - t0)
     assert record.to_dict() == cold.to_dict(), \
         f"{name}: seeded rerun diverged"
@@ -119,10 +121,10 @@ def _worker(name: str) -> None:
     for _ in range(3):
         t0 = time.perf_counter()
         record_off, cluster_off = run_service_detailed(
-            spec, wave_batching=False)
+            spec, batching=False)
         wall_off = min(wall_off, time.perf_counter() - t0)
     assert record.to_dict() == record_off.to_dict(), \
-        f"{name}: wave batching changed the record"
+        f"{name}: batching changed the record"
 
     summary = summarize_record(record)
     horizon = spec.horizon
@@ -164,25 +166,25 @@ def _worker_extreme() -> None:
 
     # parity + speedup at the reduced horizon (forced-off is tractable)
     small = build("service_extreme", horizon=EXTREME_PARITY_HORIZON)
-    run_service_detailed(small, wave_batching=True)  # warm operator cache
+    run_service_detailed(small, batching=True)  # warm operator cache
     wall_small = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        rec_small, _ = run_service_detailed(small, wave_batching=True)
+        rec_small, _ = run_service_detailed(small, batching=True)
         wall_small = min(wall_small, time.perf_counter() - t0)
     t0 = time.perf_counter()
     rec_small_off, cl_small_off = run_service_detailed(
-        small, wave_batching=False)
+        small, batching=False)
     wall_small_off = time.perf_counter() - t0
     assert rec_small.service_events == rec_small_off.service_events, \
-        "service_extreme: wave batching changed the event stream"
+        "service_extreme: batching changed the event stream"
     assert rec_small.to_dict() == rec_small_off.to_dict(), \
-        "service_extreme: wave batching changed the record"
+        "service_extreme: batching changed the record"
 
     # full-scale throughput, fast path only
     spec = build("service_extreme", horizon=EXTREME_HORIZON)
     t0 = time.perf_counter()
-    record, cluster = run_service_detailed(spec, wave_batching=True)
+    record, cluster = run_service_detailed(spec, batching=True)
     wall = time.perf_counter() - t0
     summary = summarize_record(record)
 
@@ -273,7 +275,7 @@ def test_service(benchmark):
     # the saturated fleet is actually busy, not idle-while-shedding
     assert overload["utilization"] > 0.9
 
-    # the wave/pump fast path must actually pay for itself
+    # the group/pump fast path must actually pay for itself
     assert overload["speedup"] >= _MIN_SPEEDUP, (
         f"service fast path speedup {overload['speedup']:.2f}x on "
         f"service_overload below the {_MIN_SPEEDUP:g}x floor")

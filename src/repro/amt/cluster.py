@@ -22,19 +22,16 @@ which is exactly what the load balancer polls.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from collections import deque
 from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
-import numpy as np
-
 from ..costmodel import FLAT, WorkItem
 from .agas import AddressSpace
 from .counters import BusyTimeCounter, CounterRegistry
 from .des import Event, SimulationError, Simulator
-from .future import _MULTI, Future, LocalFuture, local_when_all
+from .future import Future, LocalFuture, local_when_all
 
 __all__ = ["SpeedTrace", "ConstantSpeed", "PiecewiseSpeed", "RampSpeed",
            "StraggleSpeed", "Network", "SimNode", "SimTask", "SimCluster"]
@@ -445,37 +442,6 @@ class SimTask:
         self.tag = tag
 
 
-class _Wave:
-    """A batch of queued tasks completed by one DES event.
-
-    When a single-core node with a :class:`ConstantSpeed` trace holds a
-    run of queued action-free tasks, their completion times are a pure
-    prefix sum ``t_i = t_{i-1} + work_i/rate`` — no event between them
-    can change the node's schedule.  The cluster therefore pops the whole
-    run, computes the times vectorized (``np.add.accumulate`` performs
-    the identical left-to-right float64 additions, so the times are
-    bit-identical to the per-event loop) and schedules *one* event at the
-    wave's end instead of ``k`` events.  Busy time is accounted per task
-    with the same telescoping deltas the per-event path produces.
-
-    Deviations from the per-event path are limited to bookkeeping that is
-    invisible to the solver: intermediate task futures resolve (in task
-    order) at the wave's end rather than at each ``t_i``, and event
-    sequence numbers differ.  A failure or a ``run(until=...)`` boundary
-    unwinds the wave back into exact per-task state (see
-    ``SimCluster._flush_wave`` / ``_materialize_waves``).
-    """
-
-    __slots__ = ("tasks", "times", "start", "event")
-
-    def __init__(self, tasks: List[SimTask], times: List[float],
-                 start: float, event: Event) -> None:
-        self.tasks = tasks
-        self.times = times
-        self.start = start
-        self.event = event
-
-
 class _TaskGroup:
     """A cross-node batch of action-free tasks completed by one event.
 
@@ -530,9 +496,6 @@ class SimNode:
         #: Event), so a failure can truncate busy time and cancel the
         #: scheduled completions deterministically
         self.running: Dict[SimTask, tuple] = {}
-        #: in-flight batched task wave (single-core ConstantSpeed fast
-        #: path), or ``None``
-        self.wave: Optional[_Wave] = None
         #: FIFO of tail-scheduled group entries
         #: ``(start, finish, work, group)`` (see
         #: :meth:`SimCluster.submit_group`); finishes are monotone
@@ -573,7 +536,7 @@ class SimCluster:
                  speeds: Optional[Sequence[SpeedTrace]] = None,
                  network: Optional[Network] = None,
                  agas: Optional[AddressSpace] = None,
-                 wave_batching: Optional[bool] = None,
+                 batching: bool = True,
                  default_rate: float = 1.0,
                  cost_model=None, memory=None) -> None:
         if num_nodes < 1:
@@ -590,12 +553,12 @@ class SimCluster:
         #: — a billion times slow.
         self.default_rate = float(default_rate)
         self.sim = Simulator()
-        if wave_batching is None:
-            wave_batching = os.environ.get("REPRO_DES_WAVE", "1") != "0"
-        #: batch homogeneous task waves into one event (see :class:`_Wave`);
-        #: mutable so callers (e.g. the fault-injecting solver) can turn
-        #: the fast path off and fall back to strict per-event semantics
-        self.wave_batching = bool(wave_batching)
+        #: complete each :meth:`submit_group` / :meth:`send_group` batch
+        #: with one DES event; ``False`` takes the per-task form (one
+        #: event per task and message), which the parity tests use as
+        #: their reference and :class:`repro.reporting.trace.TraceRecorder`
+        #: selects so every task interval is observable
+        self.batching = bool(batching)
         #: resolves :class:`repro.costmodel.WorkItem` submissions to
         #: work floats; raw float submissions bypass it entirely, so a
         #: bare cluster behaves exactly as before the cost-model layer
@@ -646,8 +609,8 @@ class SimCluster:
         ``work`` may be a plain float (work units, as always) or a
         :class:`repro.costmodel.WorkItem`, which the cluster's cost
         model resolves to work units here — before the task exists —
-        so waves, group prefix sums, and the step-plan cache all
-        operate on ordinary resolved floats.
+        so group prefix sums and the step-plan cache both operate on
+        ordinary resolved floats.
         """
         if isinstance(work, WorkItem):
             work = self.cost_model.task_work(work)
@@ -772,7 +735,7 @@ class SimCluster:
 
         and falls back to exactly that when batching is off or any
         target node is not on the group fast path (dead, multi-core,
-        non-constant speed, or currently holding classic/wave tasks).
+        non-constant speed, or currently holding classic tasks).
         On the fast path each task becomes a *pending entry* tail-
         scheduled behind the node's previous entry — ``start =
         max(tail, now)``, ``finish = start + work/rate``, the identical
@@ -802,7 +765,7 @@ class SimCluster:
                     f"group of {len(works)} tasks got {len(nodes)} "
                     f"target nodes")
             ids = nodes
-        if not self.wave_batching:
+        if not self.batching:
             fut = local_when_all(
                 [self.submit(nid, w, label=label)
                  for nid, w in zip(ids, works)])
@@ -812,10 +775,6 @@ class SimCluster:
             return None
         all_nodes = self.nodes
         num_nodes = len(all_nodes)
-        if len(works) > num_nodes:
-            raise SimulationError(
-                f"group of {len(works)} tasks needs {len(works)} nodes, "
-                f"have {num_nodes}")
         for nid, work in zip(ids, works):
             if not 0 <= nid < num_nodes:
                 raise SimulationError(f"unknown node id {nid}")
@@ -828,8 +787,7 @@ class SimCluster:
             # changed since
             if work < 0.0 or (not node.pending and (
                     node.group_rate == 0.0 or not node.alive
-                    or node.running or node.ready
-                    or node.wave is not None)):
+                    or node.running or node.ready)):
                 fut = local_when_all(
                     [self.submit(nid, w, label=label)
                      for nid, w in zip(ids, works)])
@@ -855,6 +813,7 @@ class SimCluster:
             node.tail = finish
             if finish > t_max:
                 t_max = finish
+        # event class "wave" names group completions in DES profiles
         group.event = sim.schedule(
             t_max, lambda g=group: self._complete_group(g),
             priority=1, klass="wave")
@@ -870,14 +829,14 @@ class SimCluster:
         path only *one* delivery event is scheduled, at the latest
         arrival time, which is exactly when the barrier over the
         individual deliveries would fire.  Falls back to the per-message
-        form when wave batching is off.
+        form when batching is off.
 
         With ``callback`` (zero-arg) the barrier future is skipped: the
         callback runs where it would have resolved — synchronously when
         every arrival is instantaneous, else in the one delivery event —
         and the method returns ``None``.
         """
-        if not self.wave_batching:
+        if not self.batching:
             fut = local_when_all(self.send_many(messages))
             if callback is None:
                 return fut
@@ -963,8 +922,6 @@ class SimCluster:
         # exact per-event semantics
         self._materialize_groups()
         orphans: List[SimTask] = []
-        if node.wave is not None:
-            orphans.extend(self._flush_wave(node))
         for task, (token, event) in node.running.items():
             event.cancel()
             node.counter.end_work(self.sim.now, token)
@@ -992,7 +949,6 @@ class SimCluster:
         """Drain the event queue; return final virtual time."""
         result = self.sim.run(until=until, max_events=max_events)
         if until is not None:
-            self._materialize_waves()
             self._materialize_groups()
         return result
 
@@ -1075,40 +1031,6 @@ class SimCluster:
         self._dispatch(node)
 
     def _dispatch(self, node: SimNode) -> None:
-        if (self.wave_batching and node.alive and node.cores == 1
-                and node.free_cores == 1 and len(node.ready) >= 2
-                and type(node.trace) is ConstantSpeed):
-            # wave fast path: batch the leading run of action-free
-            # tasks, cut so no *observed* future resolves late.  A wave
-            # resolves its members at the wave's end, so an observed
-            # member is only safe when every observer also waits for
-            # the wave's final member: a run may end at a member of the
-            # single common local_when_all barrier (the barrier cannot
-            # fire before the run's own end), at an unobserved member,
-            # or at a multi-observed member (its own true completion
-            # time is the wave end).  Futures observed *after* the wave
-            # forms trigger a live unwind (see LocalFuture._wave).
-            k = 0
-            end = 0
-            common = None
-            for task in node.ready:
-                if task.action is not None or task.work < 0.0:
-                    break
-                g = task.future._group
-                k += 1
-                if g is None:
-                    if common is None:
-                        end = k
-                elif common is not None and g is not common:
-                    break
-                elif g is _MULTI:
-                    end = k
-                    break
-                else:
-                    common = g
-                    end = k
-            if end >= 2:
-                self._start_wave(node, end)
         while node.alive and node.free_cores > 0 and node.ready:
             task = node.ready.popleft()
             node.free_cores -= 1
@@ -1121,189 +1043,6 @@ class SimCluster:
                 lambda t=task, n=node: self._complete(n, t),
                 priority=1, klass="completion")
             node.running[task] = (token, event)
-
-    def _start_wave(self, node: SimNode, k: int) -> None:
-        ready = node.ready
-        tasks = [ready.popleft() for _ in range(k)]
-        start = self.sim.now
-        rate = node.trace._rate
-        if k < 32:
-            # numpy setup costs more than it saves on short waves; the
-            # loop performs the identical fl(t + work/rate) additions
-            times: List[float] = []
-            t = start
-            for task in tasks:
-                t = t + task.work / rate
-                times.append(t)
-        else:
-            acc = np.empty(k + 1, dtype=np.float64)
-            acc[0] = start
-            works = np.fromiter((task.work for task in tasks),
-                                dtype=np.float64, count=k)
-            np.divide(works, rate, out=acc[1:])
-            # ufunc accumulate adds strictly left to right: bit-identical
-            # to the sequential t_i = fl(t_{i-1} + fl(work_i/rate)) chain
-            times = np.add.accumulate(acc)[1:].tolist()
-        node.free_cores -= 1
-        event = self.sim.schedule(
-            times[-1], lambda n=node: self._complete_wave(n),
-            priority=1, klass="wave")
-        wave = _Wave(tasks, times, start, event)
-        node.wave = wave
-        # a subscriber attaching to a non-final member mid-flight must
-        # see the true completion time: arm the live unwind trigger
-        # (fired from LocalFuture._add_callback)
-        trigger = (lambda n=node, w=wave:
-                   self._materialize_live_wave(n, w))
-        for task in tasks[:-1]:
-            task.future._wave = trigger
-
-    def _complete_wave(self, node: SimNode) -> None:
-        wave = node.wave
-        node.wave = None
-        for task in wave.tasks:
-            task.future._wave = None
-        counter = node.counter
-        prev = wave.start
-        # same telescoping busy deltas the per-event path accumulates
-        for t in wave.times:
-            counter.add(t - prev)
-            prev = t
-        node.tasks_completed += len(wave.tasks)
-        for task in wave.tasks:
-            node.work_completed += task.work
-        node.free_cores += 1
-        for task in wave.tasks:
-            task.future._set_value(None)
-        self._dispatch(node)
-
-    def _flush_wave(self, node: SimNode) -> List[SimTask]:
-        """Unwind an in-flight wave at a failure instant.
-
-        Tasks whose completion time already passed are retroactively
-        completed (their per-event completions would have fired before
-        the failure event: completions carry priority 1, faults -1).
-        The in-flight task's busy interval is truncated at ``now``; it
-        and the not-yet-started tail become orphans, in queue order —
-        exactly the per-event failure semantics.
-        """
-        wave = node.wave
-        node.wave = None
-        wave.event.cancel()
-        for task in wave.tasks:
-            task.future._wave = None
-        now = self.sim.now
-        counter = node.counter
-        prev = wave.start
-        orphans: List[SimTask] = []
-        in_flight = True
-        for task, t in zip(wave.tasks, wave.times):
-            if not orphans and t < now:
-                counter.add(t - prev)
-                prev = t
-                node.tasks_completed += 1
-                node.work_completed += task.work
-                task.future._set_value(None)
-            else:
-                if in_flight:
-                    # the task occupying the core: truncate like end_work
-                    counter.add(now - prev)
-                    in_flight = False
-                orphans.append(task)
-        return orphans
-
-    def _materialize_waves(self) -> None:
-        """Convert interrupted waves back into per-task state.
-
-        Called after ``run(until=...)`` returns mid-wave: completes the
-        tasks whose times are ``<= now`` (their events would have fired),
-        reconstructs the in-flight task as a normal ``running`` entry
-        with its own completion event, and puts the untouched tail back
-        at the front of the ready queue.  The cluster state then matches
-        the per-event path at the same boundary.
-        """
-        now = self.sim.now
-        for node in self.nodes:
-            wave = node.wave
-            if wave is None:
-                continue
-            node.wave = None
-            wave.event.cancel()
-            for task in wave.tasks:
-                task.future._wave = None
-            counter = node.counter
-            prev = wave.start
-            idx = 0
-            for task, t in zip(wave.tasks, wave.times):
-                if t <= now:
-                    counter.add(t - prev)
-                    prev = t
-                    node.tasks_completed += 1
-                    node.work_completed += task.work
-                    task.future._set_value(None)
-                    idx += 1
-                else:
-                    break
-            if idx < len(wave.tasks):
-                task = wave.tasks[idx]
-                token = counter.begin_work(prev)
-                event = self.sim.schedule(
-                    wave.times[idx],
-                    lambda t=task, n=node: self._complete(n, t),
-                    priority=1, klass="completion")
-                node.running[task] = (token, event)
-                for rest in reversed(wave.tasks[idx + 1:]):
-                    node.ready.appendleft(rest)
-            else:  # pragma: no cover - wave event fires at times[-1]
-                node.free_cores += 1
-                self._dispatch(node)
-
-    def _materialize_live_wave(self, node: SimNode, wave: _Wave) -> None:
-        """Unwind one in-flight wave the instant a member is observed.
-
-        Triggered from :meth:`LocalFuture._add_callback` when a new
-        subscriber (a ``local_when_all`` barrier, a ``then``) attaches to
-        a non-final wave member: the subscriber must see the member's
-        true completion time, so the wave reverts to per-task form.
-        Members whose completion times are strictly past are completed
-        retroactively (their per-event completions would have fired
-        before the current event); the in-flight member becomes a normal
-        ``running`` entry with its own completion event — scheduled at
-        its exact per-event time, including a completion *later this
-        same instant* when ``t == now`` — and the tail returns to the
-        ready queue.
-        """
-        if node.wave is not wave:  # stale trigger from a resolved wave
-            return
-        node.wave = None
-        wave.event.cancel()
-        for task in wave.tasks:
-            task.future._wave = None
-        now = self.sim.now
-        counter = node.counter
-        prev = wave.start
-        idx = 0
-        for task, t in zip(wave.tasks, wave.times):
-            if t < now:
-                counter.add(t - prev)
-                prev = t
-                node.tasks_completed += 1
-                node.work_completed += task.work
-                task.future._set_value(None)
-                idx += 1
-            else:
-                break
-        # the wave event at times[-1] has not fired (it would have
-        # cleared node.wave), so at least the final member has t >= now
-        task = wave.tasks[idx]
-        token = counter.begin_work(prev)
-        event = self.sim.schedule(
-            wave.times[idx],
-            lambda t=task, n=node: self._complete(n, t),
-            priority=1, klass="completion")
-        node.running[task] = (token, event)
-        for rest in reversed(wave.tasks[idx + 1:]):
-            node.ready.appendleft(rest)
 
     # -- task groups (service fast path) -----------------------------------
     def _flush_pending(self, node: SimNode, now: float) -> None:

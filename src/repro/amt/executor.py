@@ -85,7 +85,7 @@ class TaskExecutor:
     def submit_wave(self, fn: Callable[..., Any], items: List[Any]) -> List[Future]:
         """Run ``fn(item)`` for a homogeneous batch as *one* queued item.
 
-        The executor analogue of the simulator's task-wave batching: a
+        The executor analogue of the simulator's task-group batching: a
         run of small homogeneous tasks pays one queue round-trip and one
         worker wake-up instead of ``len(items)``.  The items execute
         sequentially on a single worker (in order, each future resolving

@@ -47,21 +47,6 @@ _PENDING = "pending"
 _READY = "ready"
 _EXCEPTIONAL = "exceptional"
 
-#: Barrier-group sentinel: a :class:`LocalFuture` observed by more than
-#: one subscriber (or by anything other than a single
-#: :func:`local_when_all` barrier).  Wave batching may only delay such a
-#: future's resolution if it is the *final* member of the wave.
-_MULTI = object()
-
-#: The :func:`local_when_all` output future currently subscribing to its
-#: inputs, or ``None`` outside a barrier subscription loop.  Lets
-#: :meth:`LocalFuture._add_callback` stamp each input with the barrier
-#: observing it, so the simulated cluster can tell which ready-queue runs
-#: share one barrier (safe to batch) from futures with ad-hoc observers
-#: (must resolve at their true completion time).
-_active_group: Optional["LocalFuture"] = None
-
-
 class Future:
     """A single-assignment container for a value produced asynchronously.
 
@@ -191,21 +176,9 @@ class LocalFuture(Future):
     that ``get``/``wait`` never block: a pending ``LocalFuture`` raises
     :class:`FutureError` immediately, because no other thread could ever
     resolve it — callers drain the simulator first.
-
-    Two extra slots support the cluster's barrier-aware wave batching
-    (see DESIGN.md, "Service fast path"):
-
-    * ``_group`` — ``None`` until observed; then either the single
-      :func:`local_when_all` barrier subscribed to this future, or the
-      :data:`_MULTI` sentinel once any other observer appears.
-    * ``_wave`` — set by the cluster while this future sits *inside* a
-      formed wave whose end it does not terminate; called (zero-arg) the
-      moment a new subscriber attaches, which materializes the wave back
-      into per-event form so the subscriber sees the true completion
-      time.
     """
 
-    __slots__ = ("_group", "_wave")
+    __slots__ = ()
 
     def __init__(self) -> None:
         self._cond = None
@@ -213,8 +186,6 @@ class LocalFuture(Future):
         self._value = None
         self._exception = None
         self._callbacks = []
-        self._group = None
-        self._wave = None
 
     # -- inspection ----------------------------------------------------
     def is_ready(self) -> bool:
@@ -242,26 +213,8 @@ class LocalFuture(Future):
 
     # -- continuations / fulfilment ---------------------------------------
     def _add_callback(self, cb: Callable[[Future], None]) -> None:
-        global _active_group
         if self._state == _PENDING:
             self._callbacks.append(cb)
-            g = _active_group
-            if g is None:
-                self._group = _MULTI
-            elif self._group is None:
-                self._group = g
-            elif self._group is not g:
-                self._group = _MULTI
-            wave = self._wave
-            if wave is not None:
-                # Materializing may resolve futures whose callbacks
-                # attach further subscriptions; those must not inherit
-                # this barrier's group tag.
-                prev, _active_group = _active_group, None
-                try:
-                    wave()
-                finally:
-                    _active_group = prev
         else:
             cb(self)
 
@@ -356,7 +309,6 @@ def local_when_all(futures: Iterable[Future]) -> Future:
     lock and returns a :class:`LocalFuture`.  Only safe when every input
     future is resolved from one thread (the DES hot path).
     """
-    global _active_group
     futs: Sequence[Future] = list(futures)
     out = LocalFuture()
     if not futs:
@@ -370,18 +322,8 @@ def local_when_all(futures: Iterable[Future]) -> Future:
         if state[0] == 0:
             out._set_value(list(futs))
 
-    # Tag each input with the barrier observing it (see LocalFuture
-    # ``_group``) so wave batching knows these subscriptions all fire
-    # together when the run's last member completes.  Save/restore: a
-    # subscription may materialize a wave whose callbacks build further
-    # barriers reentrantly.
-    prev = _active_group
-    _active_group = out
-    try:
-        for f in futs:
-            f._add_callback(one_done)
-    finally:
-        _active_group = prev
+    for f in futs:
+        f._add_callback(one_done)
     return out
 
 

@@ -469,7 +469,7 @@ def _cmd_serve(args) -> int:
             max_nodes=2 * spec.cluster.num_nodes))
     if args.profile:
         # the env flag (not a Simulator kwarg) so any nested DES the
-        # run builds inherits it, matching bench_des_core's contract
+        # run builds inherits it, as perfbench/run.py's traced runs do
         os.environ["REPRO_DES_PROFILE"] = "1"
     rec, cluster = run_service_detailed(spec)
     summary = summarize_record(rec)
@@ -507,15 +507,13 @@ def _cmd_serve(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    from .amt.des import requested_queue
     from .core.strategies import requested_strategy
     from .costmodel import requested_cost_model
     from .solver.backends import requested_backend
     try:
         requested_backend()      # a bad REPRO_KERNEL_BACKEND (or
-        requested_strategy()     # REPRO_BALANCER, REPRO_DES_QUEUE,
-        requested_queue()        # REPRO_COST_MODEL) fails every
-        requested_cost_model()   # command; report it
+        requested_strategy()     # REPRO_BALANCER, REPRO_COST_MODEL)
+        requested_cost_model()   # fails every command; report it
     except ValueError as exc:  # without a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ the simulator's bit-identical-schedule contract:
   not directly to seconds.  The DES converts work to virtual time
   through each node's :class:`repro.amt.cluster.SpeedTrace` exactly as
   before, so heterogeneous speeds, stragglers, and warm-up windows all
-  compose with any cost model, and the wave-batching prefix sums
+  compose with any cost model, and the task-group prefix sums
   operate on plain resolved floats.
 * The default :class:`repro.costmodel.flat.FlatCostModel` evaluates the
   seed arithmetic in the same left-to-right order, so a flat-model run

@@ -23,7 +23,7 @@ their cores at, so on a default node the slowdown reads directly as
 Slowdowns are deterministic pure floats, memoized per ``(backend,
 shape, radius, flops)`` on the model instance (profiles themselves are
 LRU-cached in the profiler), so schedules stay bit-reproducible and
-wave-batched prefix sums see ordinary resolved work floats.
+task-group prefix sums see ordinary resolved work floats.
 """
 
 from __future__ import annotations

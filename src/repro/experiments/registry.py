@@ -637,11 +637,11 @@ def scale_extreme(mesh: int = 2048, sd_axis: int = 64, nodes: int = 512,
     """DES-throughput stress tier: the event-rate benchmark workload.
 
     2048x2048 DPs over 64x64 = 4096 SDs on 512 single-core nodes with
-    block layout, numerics off and no spawn overhead — millions of
+    block layout, numerics off and no spawn overhead — about 7e4
     ghost-delivery and task-completion events per run, all schedule.
-    This is the configuration ``benchmarks/bench_des_core.py`` measures
-    events/sec on (queue backends x wave batching x plan cache); scale
-    it down for smoke tests with ``mesh=512, sd_axis=16, nodes=32``.
+    ``perfbench/run.py --workload scale`` times it (host time by layer,
+    by hand, not gated); scale it down for smoke tests with
+    ``mesh=512, sd_axis=16, nodes=32``.
     """
     return ScenarioSpec(
         name="scale_extreme",

@@ -55,10 +55,10 @@ class TraceRecorder:
     def __init__(self, cluster: SimCluster) -> None:
         self.cluster = cluster
         # per-task intervals are the whole point of a trace: pin the
-        # cluster to the per-event path (wave batching collapses a run of
-        # homogeneous tasks into one event; the schedule is identical but
-        # intermediate completions would be invisible here)
-        cluster.wave_batching = False
+        # cluster to the per-task path (a task group completes through
+        # one event; the schedule is identical but its tasks would never
+        # pass through _dispatch/_complete)
+        cluster.batching = False
         self.intervals: List[TaskInterval] = []
         self._starts = {}
         original_dispatch = cluster._dispatch

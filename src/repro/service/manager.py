@@ -23,7 +23,7 @@ the stream has always carried — which
 ``RunRecord.service_events`` persists.
 
 Fast path (see DESIGN.md, "Service fast path"): when the cluster runs
-with wave batching, sweeps go through
+with ``batching`` on (the default), sweeps go through
 :meth:`repro.amt.cluster.SimCluster.submit_group` /
 :meth:`~repro.amt.cluster.SimCluster.send_group` (one DES event per
 sweep / exchange instead of one per task / message) and the arrival
@@ -223,7 +223,7 @@ class JobManager:
     # -- arrival / admission ----------------------------------------------
     def feed(self, arrivals: List[Arrival]) -> None:
         """Replay the whole trace as absolute-time DES events."""
-        if self.cluster.wave_batching:
+        if self.cluster.batching:
             self.feed_columnar([a.time for a in arrivals],
                                [a.tenant for a in arrivals],
                                [a.index for a in arrivals])
@@ -247,7 +247,7 @@ class JobManager:
         own timestamp is indistinguishable from a dedicated event.
         With batching off this falls back to one event per arrival.
         """
-        if not self.cluster.wave_batching:
+        if not self.cluster.batching:
             self.feed([Arrival(t, n, k)
                        for t, n, k in zip(times, tenants, indices)])
             return

@@ -10,20 +10,18 @@ measures), replay the seeded arrival trace through a
 :class:`RunRecord` whose ``service_events`` field carries the raw
 trace.
 
-Wave batching now runs **on** by default on the service cluster: the
-wave machinery is barrier-aware (a wave is materialized the moment a
-``local_when_all`` barrier observes any of its member futures early,
-and ``submit_group`` / ``send_group`` batch each sweep and exchange
-into one DES event per job step), so interleaved multi-job DAGs see
-bit-identical telemetry with batching on or off.  ``wave_batching``
-can still be forced either way per call — the parity tests and the
-service bench run both modes and assert the ``service_events`` streams
-are equal.
+Batching runs **on** by default: ``submit_group`` / ``send_group``
+complete each sweep and exchange with one DES event per job step, and
+the arrival pump admits runs of arrivals per event, with telemetry
+bit-identical to the per-task form.  ``batching=False`` selects that
+per-task form (one event per task, message and arrival); the parity
+tests and the service bench run both modes and assert the
+``service_events`` streams are equal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..amt.autoscale import AutoscaleController
 from ..amt.cluster import ConstantSpeed, SimCluster
@@ -40,8 +38,7 @@ __all__ = ["run_service", "run_service_detailed", "summarize_record"]
 
 def run_service_detailed(
         spec: ServiceSpec,
-        wave_batching: Optional[bool] = None
-) -> Tuple[RunRecord, SimCluster]:
+        batching: bool = True) -> Tuple[RunRecord, SimCluster]:
     """Execute one service point; return the record *and* the cluster.
 
     The cluster runs ``until=spec.horizon``: jobs still queued or
@@ -50,8 +47,7 @@ def run_service_detailed(
     an underloaded run still ends with ``now == horizon``, so busy
     fractions and goodput are always measured against the full window.
 
-    ``wave_batching=None`` defers to the ``REPRO_DES_WAVE`` default
-    (on); pass ``False`` to force the strict one-event-per-task path.
+    ``batching=False`` forces the strict one-event-per-task path.
     The returned cluster exposes the DES itself (``cluster.sim``) for
     callers that want ``events_processed`` or ``profile_report()``.
     """
@@ -78,7 +74,7 @@ def run_service_detailed(
         cores_per_node=spec.cluster.cores_per_node,
         speeds=speeds,
         network=spec.cluster.build_network(),
-        wave_batching=wave_batching,
+        batching=batching,
         default_rate=1e9,
         cost_model=cost,
         memory=memory)
@@ -98,7 +94,7 @@ def run_service_detailed(
             metrics=manager.poll_signals,
             on_membership_change=manager.set_membership)
         controller.start()
-    if cluster.wave_batching:
+    if cluster.batching:
         # columnar trace straight into the arrival pump — no per-event
         # lambda and no Arrival object per job at service_extreme scale
         manager.feed_columnar(*generate_arrival_arrays(
@@ -124,10 +120,9 @@ def run_service_detailed(
     return record, cluster
 
 
-def run_service(spec: ServiceSpec,
-                wave_batching: Optional[bool] = None) -> RunRecord:
+def run_service(spec: ServiceSpec, batching: bool = True) -> RunRecord:
     """Execute one service point and collect its :class:`RunRecord`."""
-    record, _cluster = run_service_detailed(spec, wave_batching)
+    record, _cluster = run_service_detailed(spec, batching)
     return record
 
 

@@ -333,12 +333,6 @@ class DistributedSolver:
         self.cluster = SimCluster(num_nodes, cores_per_node=cores_per_node,
                                   speeds=speeds, network=network,
                                   cost_model=self.cost_model, memory=memory)
-        if faults is not None:
-            # fault handlers poll busy_time at arbitrary mid-step times;
-            # wave batching defers per-task busy accounting to the wave
-            # end, which would skew the evacuation balance decision —
-            # keep elastic runs on the per-event path
-            self.cluster.wave_batching = False
         #: compiled step plan (``None`` until built / after ownership
         #: changes); ``REPRO_DES_PLANCACHE=0`` rebuilds it every step,
         #: restoring the uncached cost profile for benchmarking

@@ -1,20 +1,20 @@
-"""DES fast-path contracts: queue backends, run controls, profiling.
+"""DES fast-path contracts: event order, run controls and profiling.
 
-The bucketed calendar queue must pop events in *exactly* the order of
-the seed's binary heap — ``(time, priority, seq)`` tie-breaking is the
-determinism contract everything downstream (goldens, benches, the
-paper figures) rests on.  The hypothesis suites here drive both
-backends (and ``auto`` promotion) with adversarial schedules, including
-cancellations and events scheduled from inside actions.
+The heap must pop events in exactly ``(time, priority, seq)`` order —
+the determinism contract everything downstream (goldens, benches, the
+paper figures) rests on — through cancellations, lazy compaction and
+events scheduled from inside actions.  The ``run(until=, max_events=)``
+edges and the O(1) live count are what every batching layer above the
+simulator leans on (the service's back-to-back windows, the cluster's
+``until`` cuts); they must hold whatever cancelled entries the heap
+still carries.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amt.des import SimulationError, Simulator
-
-BACKENDS = ("heap", "bucket", "auto")
+from repro.amt.des import _COMPACT_MIN, SimulationError, Simulator
 
 #: (time, priority) pairs with heavy collisions so tie-breaking matters
 _specs = st.lists(
@@ -23,108 +23,165 @@ _specs = st.lists(
     max_size=120)
 
 
-def _pop_order(queue, specs, cancel_every=0):
-    """Fire a schedule on one backend; return the observed event order."""
-    sim = Simulator(queue=queue)
+def _reference_order(specs, cancelled=frozenset()):
+    """Indices of ``specs`` in ``(time, priority, insertion)`` order."""
+    live = [i for i in range(len(specs)) if i not in cancelled]
+    return sorted(live, key=lambda i: (specs[i][0], specs[i][1], i))
+
+
+def _pop_order(specs, cancel_every=0):
+    """Fire a schedule; return the observed event order."""
+    sim = Simulator()
     order = []
-    events = []
-    for idx, (t, prio) in enumerate(specs):
-        events.append(
-            sim.schedule(t, lambda i=idx: order.append(i), priority=prio))
+    events = [sim.schedule(t, lambda i=idx: order.append(i), priority=prio)
+              for idx, (t, prio) in enumerate(specs)]
     if cancel_every:
         for ev in events[::cancel_every]:
             ev.cancel()
     sim.run()
-    return order, sim.now, sim.events_processed
+    return order
 
 
-class TestQueueEquivalence:
+class TestEventOrder:
     @given(_specs)
     @settings(max_examples=80, deadline=None)
-    def test_bucket_pops_in_heap_order(self, specs):
-        heap = _pop_order("heap", specs)
-        assert _pop_order("bucket", specs) == heap
-        assert _pop_order("auto", specs) == heap
+    def test_pops_in_time_priority_seq_order(self, specs):
+        assert _pop_order(specs) == _reference_order(specs)
 
     @given(_specs, st.integers(min_value=2, max_value=5))
     @settings(max_examples=80, deadline=None)
-    def test_equivalent_under_cancellation(self, specs, cancel_every):
-        heap = _pop_order("heap", specs, cancel_every)
-        assert _pop_order("bucket", specs, cancel_every) == heap
-        assert _pop_order("auto", specs, cancel_every) == heap
+    def test_order_under_cancellation(self, specs, cancel_every):
+        cancelled = frozenset(range(0, len(specs), cancel_every))
+        assert (_pop_order(specs, cancel_every)
+                == _reference_order(specs, cancelled))
 
     @given(st.lists(st.floats(min_value=0, max_value=10, allow_nan=False),
                     max_size=40))
     @settings(max_examples=40, deadline=None)
-    def test_equivalent_with_nested_scheduling(self, times):
-        """Actions scheduling more events exercise mid-run inserts —
-        the calendar queue must file them into already-drained regions
-        correctly (they land at or after ``now`` by construction)."""
-        def run(queue):
-            sim = Simulator(queue=queue)
-            order = []
+    def test_nested_scheduling_matches_reference(self, times):
+        """Actions scheduling more events insert behind the clock's
+        current position; a linear-scan reference queue must agree on
+        the whole firing order."""
+        sim = Simulator()
+        order = []
 
-            def fire(i, t):
-                order.append(i)
-                sim.schedule_after(t % 3.0, lambda: order.append(-i - 1))
+        def fire(i, t):
+            order.append(i)
+            sim.schedule_after(t % 3.0, lambda: order.append(-i - 1))
 
-            for idx, t in enumerate(times):
-                sim.schedule(t, lambda i=idx, tt=t: fire(i, tt))
-            sim.run()
-            return order
-
-        assert run("bucket") == run("heap")
-
-    def test_identical_time_storm_shares_a_bucket(self):
-        """Thousands of same-time events: bucket width degenerates but
-        order must still follow (priority, seq)."""
-        def run(queue):
-            sim = Simulator(queue=queue)
-            order = []
-            for i in range(3000):
-                sim.schedule(1.0, lambda i=i: order.append(i),
-                             priority=i % 3 - 1)
-            sim.run()
-            return order
-
-        assert run("bucket") == run("heap")
-
-    def test_auto_promotes_to_bucket_at_scale(self):
-        sim = Simulator(queue="auto")
-        assert sim._queue.kind == "heap"
-        fired = []
-        for i in range(5000):
-            sim.schedule(float(i % 97), lambda i=i: fired.append(i))
-        assert sim._queue.kind == "bucket"
+        for idx, t in enumerate(times):
+            sim.schedule(t, lambda i=idx, tt=t: fire(i, tt))
         sim.run()
-        assert len(fired) == 5000
-        ref = Simulator(queue="heap")
+
+        queue = [(t, i, i) for i, t in enumerate(times)]
+        seq = len(times)
         expect = []
-        for i in range(5000):
-            ref.schedule(float(i % 97), lambda i=i: expect.append(i))
-        ref.run()
+        while queue:
+            head = min(queue)
+            queue.remove(head)
+            t, _, label = head
+            expect.append(label)
+            if label >= 0:
+                queue.append((t + times[label] % 3.0, seq, -label - 1))
+                seq += 1
+        assert order == expect
+
+    @given(_specs, st.lists(st.floats(min_value=0, max_value=100,
+                                      allow_nan=False), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_until_windows_fire_like_one_run(self, specs, cuts):
+        """Back-to-back ``run(until=...)`` windows fire the same events
+        in the same order, at the same times, as one uninterrupted run."""
+        sim = Simulator()
+        fired = []
+        for idx, (t, prio) in enumerate(specs):
+            sim.schedule(t, lambda i=idx: fired.append((i, sim.now)),
+                         priority=prio)
+        for cut in sorted(cuts):
+            sim.run(until=cut)
+            assert all(now <= cut for _, now in fired)
+        sim.run()
+        expect = [(i, specs[i][0]) for i in _reference_order(specs)]
         assert fired == expect
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="queue backend"):
-            Simulator(queue="splay")
+    def test_identical_time_storm_orders_by_priority_then_seq(self):
+        sim = Simulator()
+        order = []
+        for i in range(3000):
+            sim.schedule(1.0, lambda i=i: order.append(i),
+                         priority=i % 3 - 1)
+        sim.run()
+        assert order == sorted(range(3000), key=lambda i: (i % 3 - 1, i))
+        assert sim.now == 1.0
 
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_QUEUE", "bucket")
-        assert Simulator().queue_kind == "bucket"
-        monkeypatch.setenv("REPRO_DES_QUEUE", "heap")
-        assert Simulator().queue_kind == "heap"
-        monkeypatch.delenv("REPRO_DES_QUEUE")
-        assert Simulator().queue_kind == "auto"
+    def test_compaction_keeps_survivor_order(self):
+        """Cancelling past the compaction threshold rebuilds the heap;
+        the survivors, colliding in time and priority, still pop in
+        ``(time, priority, seq)`` order."""
+        specs = [(float((i * 37) % 101), (i * 7) % 3 - 1)
+                 for i in range(3 * _COMPACT_MIN)]
+        cancelled = frozenset(i for i in range(len(specs)) if i % 4)
+        sim = Simulator()
+        order = []
+        events = [sim.schedule(t, lambda i=idx: order.append(i),
+                               priority=prio)
+                  for idx, (t, prio) in enumerate(specs)]
+        for i in sorted(cancelled):
+            events[i].cancel()
+        assert len(sim._queue._heap) < len(specs)  # compaction ran
+        assert sim.pending() == len(specs) - len(cancelled)
+        sim.run()
+        assert order == _reference_order(specs, cancelled)
+
+    def test_peek_time_skips_cancelled_head(self):
+        sim = Simulator()
+        first = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        assert sim.peek_time() == 1.0
+        first.cancel()
+        assert sim.peek_time() == 2.0
+        sim.run()
+        assert sim.peek_time() is None
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
+def _tombstoned(count):
+    """A simulator carrying ``count`` cancelled events, none fired.
+
+    Their times collide with the live events the run-control tests
+    schedule (and one lies far beyond them), so every edge below also
+    meets cancelled heads and a cancelled tail.
+    """
+    sim = Simulator()
+    events = [sim.schedule(0.5 * (k % 11),
+                           lambda: pytest.fail("cancelled event fired"))
+              for k in range(count - 1)]
+    events.append(sim.schedule(1e9, lambda: pytest.fail("cancelled tail")))
+    for ev in events:
+        ev.cancel()
+    return sim
+
+
+@pytest.fixture(params=["fresh", "tombstones", "compacted"])
+def sim(request):
+    """An idle simulator at t=0 with an empty, lingering-tombstone or
+    already-compacted heap."""
+    if request.param == "fresh":
+        sim = Simulator()
+    elif request.param == "tombstones":
+        sim = _tombstoned(64)  # below the threshold: all stay queued
+        assert len(sim._queue._heap) == 64
+    else:
+        sim = _tombstoned(_COMPACT_MIN + 100)
+        assert len(sim._queue._heap) < _COMPACT_MIN  # compaction ran
+    assert sim.pending() == 0 and sim.now == 0.0
+    return sim
+
+
 class TestRunControlEdges:
-    def test_max_events_raises_before_popping(self, queue):
+    def test_max_events_raises_before_popping(self, sim):
         """The guard fires *before* the offending event is popped or
         counted, so the schedule can resume exactly where it stopped
         (regression: the seed popped and counted event N+1 first)."""
-        sim = Simulator(queue=queue)
         fired = []
         for t in (1.0, 2.0, 3.0):
             sim.schedule(t, lambda t=t: fired.append(t))
@@ -137,24 +194,21 @@ class TestRunControlEdges:
         assert sim.run() == 3.0
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_max_events_exact_budget_completes(self, queue):
-        sim = Simulator(queue=queue)
+    def test_max_events_exact_budget_completes(self, sim):
         for t in (1.0, 2.0):
             sim.schedule(t, lambda: None)
         assert sim.run(max_events=2) == 2.0
 
-    def test_event_exactly_at_until_fires(self, queue):
-        sim = Simulator(queue=queue)
+    def test_event_exactly_at_until_fires(self, sim):
         fired = []
         sim.schedule(5.0, lambda: fired.append("at"))
         sim.schedule(5.0 + 1e-12, lambda: fired.append("after"))
         assert sim.run(until=5.0) == 5.0
         assert fired == ["at"]
 
-    def test_cancelled_head_at_until_boundary(self, queue):
+    def test_cancelled_head_at_until_boundary(self, sim):
         """A cancelled event at the boundary is skipped, not fired, and
         must not stop the clock short of ``until``."""
-        sim = Simulator(queue=queue)
         fired = []
         ev = sim.schedule(5.0, lambda: fired.append("dead"))
         sim.schedule(9.0, lambda: fired.append("late"))
@@ -163,22 +217,19 @@ class TestRunControlEdges:
         assert fired == []
         assert sim.pending() == 1
 
-    def test_until_in_past_leaves_clock(self, queue):
-        sim = Simulator(queue=queue)
+    def test_until_in_past_leaves_clock(self, sim):
         sim.schedule(4.0, lambda: None)
         sim.run()
         assert sim.run(until=1.0) == 4.0
         assert sim.now == 4.0
 
-    def test_until_with_empty_queue_advances_clock(self, queue):
+    def test_until_with_empty_queue_advances_clock(self, sim):
         # the drained-queue path lands on `until` just like the
         # later-event path does — empty windows still tile virtual time
-        sim = Simulator(queue=queue)
         assert sim.run(until=3.0) == 3.0
         assert sim.run(until=2.0) == 3.0  # never backwards
 
-    def test_pending_is_live_count(self, queue):
-        sim = Simulator(queue=queue)
+    def test_pending_is_live_count(self, sim):
         events = [sim.schedule(float(i), lambda: None) for i in range(10)]
         assert sim.pending() == 10
         for ev in events[::2]:
@@ -189,10 +240,9 @@ class TestRunControlEdges:
         sim.run()
         assert sim.pending() == 0
 
-    def test_mass_cancellation_compacts(self, queue):
+    def test_mass_cancellation_compacts(self, sim):
         """Cancelling nearly everything triggers lazy compaction; the
         survivors still fire in order."""
-        sim = Simulator(queue=queue)
         fired = []
         events = [sim.schedule(float(i), lambda i=i: fired.append(i))
                   for i in range(4000)]

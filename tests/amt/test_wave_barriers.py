@@ -1,84 +1,22 @@
-"""Barrier-aware wave batching and the task-group fast path.
+"""The task-group fast path: ``submit_group`` / ``send_group``.
 
-The wave fast path historically had to be switched off whenever
-independent jobs' ``local_when_all`` barriers interleaved on one node:
-a batched wave resolved its member futures only when the whole wave
-ended, so a barrier over an early member fired late.  These tests pin
-the barrier-aware machinery that lifted that restriction:
+A group batches one task per listed node (or one message per send)
+into a single DES event.  These tests pin that it produces
+bit-identical telemetry, busy time and barrier firing times to the
+per-task path, including:
 
-* wave formation stops at the boundary of a second barrier group, so
-  interleaved-job waves are simply not formed;
-* a wave is unwound mid-flight the moment any member future gains a
-  subscriber (the ``_wave`` trigger), so late subscriptions still see
-  exact per-task resolution times;
-* ``submit_group`` / ``send_group`` batch a whole cross-node group
-  into one event while producing bit-identical telemetry, busy time,
-  and barrier firing times to the per-event path;
-* a mid-horizon ``run(until=...)`` cut materializes in-flight groups
-  back into per-task form with no observable difference.
+* repeated node ids, which queue FIFO on their node;
+* a mid-horizon ``run(until=...)`` cut, which materializes in-flight
+  groups back into per-task form with no observable difference.
 
 Each scenario runs once with batching on and once off and asserts the
 observable streams are equal.
 """
 
+import pytest
+
 from repro.amt.cluster import SimCluster
-from repro.amt.future import local_when_all
-
-
-def _two_clusters(n, **kw):
-    return (SimCluster(n, wave_batching=True, **kw),
-            SimCluster(n, wave_batching=False, **kw))
-
-
-class TestBarrierAwareWaves:
-    def test_single_barrier_run_still_batches(self):
-        """One barrier over the whole backlog (the solver's shape):
-        the wave fast path must still collapse it to O(1) events."""
-        results = {}
-        for mode in (True, False):
-            c = SimCluster(1, wave_batching=mode)
-            futs = [c.submit(0, 10.0) for _ in range(100)]
-            fired = []
-            local_when_all(futs)._add_callback(lambda _f, c=c: fired.append(c.now))
-            c.run()
-            results[mode] = fired
-            if mode:
-                assert c.sim.events_processed <= 3
-        assert results[True] == results[False] == [1000.0]
-
-    def test_interleaved_job_barriers_fire_at_their_own_times(self):
-        """Two jobs' barriers interleave on one node: each must fire
-        when its own tasks are done, not when the backlog drains."""
-        results = {}
-        for mode in (True, False):
-            c = SimCluster(1, wave_batching=mode)
-            a = [c.submit(0, 10.0), c.submit(0, 10.0)]
-            b = [c.submit(0, 10.0), c.submit(0, 10.0)]
-            fired = {}
-            local_when_all(a)._add_callback(
-                lambda _f, c=c: fired.setdefault("A", c.now))
-            local_when_all(b)._add_callback(
-                lambda _f, c=c: fired.setdefault("B", c.now))
-            c.run()
-            results[mode] = fired
-        # submission order on the FIFO node: a0 a1 b0 b1
-        assert results[True] == results[False] == {"A": 20.0, "B": 40.0}
-
-    def test_mid_wave_subscription_unwinds_the_wave(self):
-        """Subscribing to a member future while its wave is in flight
-        must observe the member's exact per-task completion time."""
-        results = {}
-        for mode in (True, False):
-            c = SimCluster(1, wave_batching=mode)
-            futs = [c.submit(0, 10.0) for _ in range(5)]
-            seen = []
-            # at t=25 (mid-wave), subscribe to task 3 (finishes at 40)
-            c.timer(25.0).then(
-                lambda _f: futs[3]._add_callback(
-                    lambda _g: seen.append(c.now)))
-            c.run()
-            results[mode] = seen
-        assert results[True] == results[False] == [40.0]
+from repro.amt.des import SimulationError
 
 
 class TestTaskGroups:
@@ -88,7 +26,7 @@ class TestTaskGroups:
         logs = {}
         events = {}
         for mode in (True, False):
-            c = SimCluster(3, wave_batching=mode)
+            c = SimCluster(3, batching=mode)
             log = []
 
             def step(k, c=c, log=log):
@@ -112,12 +50,61 @@ class TestTaskGroups:
         assert logs[True] == logs[False]
         assert events[True] < events[False]
 
+    def test_repeated_nodes_match_per_task_path(self):
+        """More tasks than nodes, with a node listed twice: its entries
+        queue FIFO behind each other, exactly like per-task submits."""
+        results = {}
+        events = {}
+        for mode in (True, False):
+            c = SimCluster(2, batching=mode)
+            times = []
+            c.submit_group([1.0, 2.0, 3.0], nodes=[0, 0, 1])._add_callback(
+                lambda _f, c=c: times.append(c.now))
+            c.run()
+            results[mode] = (times, c.now,
+                             [c.busy_time(n) for n in range(2)],
+                             [n.tasks_completed for n in c.nodes])
+            events[mode] = c.sim.events_processed
+        assert results[True] == results[False]
+        assert results[True][:2] == ([3.0], 3.0)
+        assert events[True] == 1  # one group event, no per-task fallback
+
+    @pytest.mark.parametrize("nodes", [[1, 1, 1], [0, 1, 0, 1],
+                                       [2, 0, 2, 1, 2], [0, 0, 0, 0, 2]])
+    def test_repeated_node_layouts_match_per_task_path(self, nodes):
+        """Any node multiset, idle nodes included: the barrier fires at
+        the longest node's FIFO sum, identically on both paths."""
+        works = [1.0 + 0.5 * k for k in range(len(nodes))]
+        results = {}
+        for mode in (True, False):
+            c = SimCluster(3, batching=mode)
+            times = []
+            c.submit_group(works, nodes=nodes)._add_callback(
+                lambda _f, c=c: times.append(c.now))
+            c.run()
+            results[mode] = (times, c.now,
+                             [c.busy_time(n) for n in range(3)],
+                             [n.tasks_completed for n in c.nodes],
+                             [n.work_completed for n in c.nodes])
+        assert results[True] == results[False]
+        per_node = [sum(w for w, m in zip(works, nodes) if m == n)
+                    for n in range(3)]
+        assert results[True][0] == [max(per_node)]
+        assert results[True][2] == per_node
+        assert results[True][3] == [nodes.count(n) for n in range(3)]
+
+    @pytest.mark.parametrize("mode", [True, False])
+    def test_default_nodes_past_the_fleet_rejected(self, mode):
+        c = SimCluster(2, batching=mode)
+        with pytest.raises(SimulationError, match="unknown node id 2"):
+            c.submit_group([1.0, 2.0, 3.0])
+
     def test_group_callback_mode_matches_future_mode(self):
         """submit_group(callback=...) fires exactly where the barrier
         future would have resolved."""
         fired = {}
         for label, use_cb in (("cb", True), ("fut", False)):
-            c = SimCluster(2, wave_batching=True)
+            c = SimCluster(2, batching=True)
             times = []
             if use_cb:
                 c.submit_group([10.0, 30.0],
@@ -134,7 +121,7 @@ class TestTaskGroups:
         materialized continuation must finish identically."""
         results = {}
         for mode in (True, False):
-            c = SimCluster(1, wave_batching=mode)
+            c = SimCluster(1, batching=mode)
             log = []
 
             def chain(k, c=c, log=log):
@@ -157,7 +144,7 @@ class TestTaskGroups:
     def test_group_falls_back_on_ineligible_node(self):
         """Multi-core nodes take the classic path but the barrier
         semantics are unchanged."""
-        c = SimCluster(2, cores_per_node=2, wave_batching=True)
+        c = SimCluster(2, cores_per_node=2, batching=True)
         times = []
         c.submit_group([10.0, 30.0])._add_callback(
             lambda _f: times.append(c.now))
@@ -167,7 +154,7 @@ class TestTaskGroups:
     def test_counters_flush_through_busy_time_reads(self):
         """busy_time() mid-run sees the completed prefix of pending
         group entries without materializing them."""
-        c = SimCluster(1, wave_batching=True)
+        c = SimCluster(1, batching=True)
         c.submit_group([10.0])
         c.submit_group([10.0])
         c.run(until=15.0)

@@ -9,7 +9,7 @@ bit-identical to the pre-refactor seed arithmetic.  Pinned here as
   existed; its schedule values must keep matching exactly),
 * RunRecord equality between ``auto``-resolved, explicitly pinned, and
   env-forced flat runs, on the distributed solver and on all three
-  curated service workloads, with wave batching on and off.
+  curated service workloads, with batching on and off.
 """
 
 import json
@@ -43,13 +43,13 @@ def records_equal(a, b, ignore_spec=False):
 
 
 class TestDistributedFlatParity:
-    @pytest.mark.parametrize("waves", ["0", "1"])
+    @pytest.mark.parametrize("plancache", ["0", "1"])
     def test_fault_recovery_matches_golden_schedule(self, monkeypatch,
-                                                    waves):
+                                                    plancache):
         """The flat run reproduces the golden's schedule bit for bit —
-        with and without wave batching (both must resolve the same
+        with the step-plan cache off and on (both must resolve the same
         work floats)."""
-        monkeypatch.setenv("REPRO_DES_WAVE", waves)
+        monkeypatch.setenv("REPRO_DES_PLANCACHE", plancache)
         with open(GOLDEN, "r", encoding="utf-8") as fh:
             golden = json.load(fh)["record"]
         rec = run_scenario(build("fault_recovery")).to_dict()
@@ -82,14 +82,14 @@ class TestDistributedFlatParity:
 
 class TestServiceFlatParity:
     @pytest.mark.parametrize("scenario", SERVICE_SCENARIOS)
-    @pytest.mark.parametrize("waves", [True, False],
-                             ids=["waves-on", "waves-off"])
-    def test_env_flat_is_a_noop(self, monkeypatch, scenario, waves):
+    @pytest.mark.parametrize("batching", [True, False],
+                             ids=["batching-on", "batching-off"])
+    def test_env_flat_is_a_noop(self, monkeypatch, scenario, batching):
         spec = build(scenario)
         monkeypatch.delenv(ENV_VAR, raising=False)
-        auto = run_service(spec, wave_batching=waves)
+        auto = run_service(spec, batching=batching)
         monkeypatch.setenv(ENV_VAR, "flat")
-        forced = run_service(spec, wave_batching=waves)
+        forced = run_service(spec, batching=batching)
         assert auto.cost_model_resolved == forced.cost_model_resolved \
             == "flat"
         assert records_equal(auto, forced)

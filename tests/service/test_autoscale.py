@@ -104,7 +104,7 @@ class TestTargetUtilizationPolicy:
 class TestControllerInvariants:
     def _drive(self, decisions, *, start, min_nodes, max_nodes,
                cooldown=0.0, provision_delay=0.5, horizon=40.0):
-        cluster = SimCluster(start, wave_batching=True)
+        cluster = SimCluster(start, batching=True)
         ctl = AutoscaleController(
             cluster, ScriptedPolicy(decisions),
             poll_interval=1.0, min_nodes=min_nodes, max_nodes=max_nodes,
@@ -154,7 +154,7 @@ class TestControllerInvariants:
         assert len(cluster.active_node_ids()) == 3
 
     def test_join_lands_after_provision_delay_with_warmup(self):
-        cluster = SimCluster(1, wave_batching=True, default_rate=4.0)
+        cluster = SimCluster(1, batching=True, default_rate=4.0)
         ctl = AutoscaleController(
             cluster, ScriptedPolicy([1, 0]), poll_interval=1.0,
             min_nodes=1, max_nodes=2, provision_delay=2.5,
@@ -171,7 +171,7 @@ class TestControllerInvariants:
         assert trace.base.rate(join["t"]) == pytest.approx(4.0)
 
     def test_drain_waits_for_inflight_work_then_retires(self):
-        cluster = SimCluster(2, wave_batching=True, default_rate=1.0)
+        cluster = SimCluster(2, batching=True, default_rate=1.0)
         # node 0 shows a completed busy delta at the first poll; node 1
         # looks idle (its interval is still open) but holds 5s of work,
         # so the drain lands exactly on the node with in-flight work
@@ -192,7 +192,7 @@ class TestControllerInvariants:
         assert not cluster.nodes[retire["node"]].alive
 
     def test_idlest_node_is_drained(self):
-        cluster = SimCluster(3, wave_batching=True, default_rate=8.0)
+        cluster = SimCluster(3, batching=True, default_rate=8.0)
         # nodes 0 and 2 are busy through the poll window that precedes
         # the drain decision at t=2; node 1 stays idle and must be the
         # one drained (idleness is judged on the last window's delta)
@@ -343,8 +343,8 @@ class TestClosedLoopEndToEnd:
         assert [r.to_dict() for r in serial] == \
             [r.to_dict() for r in parallel]
 
-    @pytest.mark.parametrize("wave_batching", [True, False])
-    def test_noop_policy_is_bit_identical_to_disabled(self, wave_batching):
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_noop_policy_is_bit_identical_to_disabled(self, batching):
         """A policy that can never fire must leave the record untouched
         — polls, busy-time flushes and pump-cut clamps included."""
         base = build("flash_crowd")
@@ -352,18 +352,18 @@ class TestClosedLoopEndToEnd:
             min_nodes=2, max_nodes=8,
             scale_out_utilization=math.inf, scale_in_utilization=-1.0)
         off, _ = run_service_detailed(base.replace(autoscale=None),
-                                      wave_batching=wave_batching)
+                                      batching=batching)
         on, _ = run_service_detailed(base.replace(autoscale=noop),
-                                     wave_batching=wave_batching)
+                                     batching=batching)
         assert on.scale_events == []
         d_off, d_on = off.to_dict(), on.to_dict()
         d_off.pop("spec"), d_on.pop("spec")  # specs differ by design
         assert d_off == d_on
 
-    def test_waves_on_off_bit_identical_with_autoscaling(self):
+    def test_batching_on_off_bit_identical_with_autoscaling(self):
         spec = _autoscaled_spec()
-        on, _ = run_service_detailed(spec, wave_batching=True)
-        off, _ = run_service_detailed(spec, wave_batching=False)
+        on, _ = run_service_detailed(spec, batching=True)
+        off, _ = run_service_detailed(spec, batching=False)
         assert on.to_dict() == off.to_dict()
 
     def test_scale_events_render_as_a_table(self):

@@ -54,7 +54,7 @@ class TestAdmission:
         from repro.service.manager import JobManager
 
         spec = _spec(max_concurrent=1, max_queue_depth=8)
-        cluster = SimCluster(2, wave_batching=False)
+        cluster = SimCluster(2, batching=False)
         manager = JobManager(cluster, spec, {0: 26.0, 1: 26.0})
         # 4 jobs per tenant, all in the queue before anything finishes
         manager.feed([Arrival(0.0, k % 2, k // 2) for k in range(8)])
@@ -154,7 +154,7 @@ class TestPumpRunBoundary:
         spec = _spec(
             tenants=(TenantSpec(name="a", nx=16, steps=1),),
             cluster=ClusterSpec(num_nodes=1), max_concurrent=1)
-        cluster = SimCluster(1, wave_batching=True)
+        cluster = SimCluster(1, batching=True)
         # one admitted job runs for ~256 virtual seconds at rate 1.0:
         # the fleet saturates on the first arrival and the only queued
         # cluster event sits far past any mid-horizon cut

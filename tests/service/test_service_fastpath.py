@@ -1,11 +1,11 @@
-"""The service fast path: wave batching + arrival pump parity.
+"""The service fast path: group batching + arrival pump parity.
 
-``run_service`` now runs with wave batching on by default — sweeps go
-through ``submit_group``/``send_group`` and the arrival trace through
-the manager's chunked pump.  The contract is *bit-identical*
-observables: every record field (the full ``service_events`` stream,
-busy totals, makespan) must equal the forced-off per-event run on
-every scenario, every queue backend, and across mid-horizon cuts.
+``run_service`` runs with batching on by default — sweeps go through
+``submit_group``/``send_group`` and the arrival trace through the
+manager's chunked pump.  The contract is *bit-identical* observables:
+every record field (the full ``service_events`` stream, busy totals,
+makespan) must equal the forced-off per-task run on every scenario,
+on a large pre-scheduled backlog, and across mid-horizon cuts.
 """
 
 import pytest
@@ -19,18 +19,18 @@ from repro.service import (ArrivalSpec, ServiceSpec, TenantSpec,
 
 @pytest.mark.parametrize("name", ["service_poisson", "service_bursty",
                                   "service_overload"])
-def test_registry_scenarios_waves_on_off_bit_identical(name):
+def test_registry_scenarios_batching_on_off_bit_identical(name):
     spec = build(name)
-    on = run_service(spec, wave_batching=True)
-    off = run_service(spec, wave_batching=False)
+    on = run_service(spec, batching=True)
+    off = run_service(spec, batching=False)
     assert list(on.service_events) == list(off.service_events)
     assert on.to_dict() == off.to_dict()
 
 
 def test_fast_path_actually_reduces_events():
     spec = build("service_overload")
-    _, cl_on = run_service_detailed(spec, wave_batching=True)
-    _, cl_off = run_service_detailed(spec, wave_batching=False)
+    _, cl_on = run_service_detailed(spec, batching=True)
+    _, cl_off = run_service_detailed(spec, batching=False)
     assert cl_on.sim.events_processed < cl_off.sim.events_processed / 2
 
 
@@ -55,10 +55,10 @@ class TestMultiTenantInterleaving:
     def test_interleaved_dags_bit_identical(self, rate, seed, depth,
                                             concurrent, tenants):
         """Randomized admission pressure: interleaved multi-tenant
-        step-DAGs must be invisible to the wave fast path."""
+        step-DAGs must be invisible to the group fast path."""
         spec = _small_spec(rate, seed, depth, concurrent, tenants, 5e-4)
-        on = run_service(spec, wave_batching=True)
-        off = run_service(spec, wave_batching=False)
+        on = run_service(spec, batching=True)
+        off = run_service(spec, batching=False)
         assert on.to_dict() == off.to_dict()
 
 
@@ -90,7 +90,7 @@ class TestMidHorizonCut:
                 cores_per_node=spec.cluster.cores_per_node,
                 speeds=speeds,
                 network=spec.cluster.build_network(),
-                wave_batching=True)
+                batching=True)
             manager = JobManager(cluster, spec, flops)
             manager.feed(generate_arrivals(spec.arrival, spec.tenants,
                                            spec.horizon))
@@ -104,57 +104,22 @@ class TestMidHorizonCut:
         one_shot = run(None)
         composite = run(spec.horizon * 0.37)
         assert composite == one_shot
-        off = run_service(spec, wave_batching=False)
+        off = run_service(spec, batching=False)
         assert one_shot[0] == list(off.service_events)
 
 
-class TestQueueBackendPromotion:
-    """REPRO_DES_QUEUE regression: heap, bucket, and auto (heap that
-    promotes itself past 4096 live events) must produce bit-identical
-    records, and auto must actually promote on a large forced-off
-    trace (every arrival pre-scheduled -> thousands of live events)."""
-
-    #: rate/horizon chosen so the forced-off run pre-schedules > 4096
-    #: arrival events (the auto promotion threshold)
-    SPEC = dict(rate=5e6, horizon=2e-3)
-
-    def _run(self, queue, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_QUEUE", queue)
-        spec = build("service_overload", **self.SPEC)
-        rec, cluster = run_service_detailed(spec, wave_batching=False)
-        return rec, cluster
-
-    def test_heap_bucket_auto_bit_identical(self, monkeypatch):
-        records = {}
-        kinds = {}
-        for queue in ("heap", "bucket", "auto"):
-            rec, cluster = self._run(queue, monkeypatch)
-            records[queue] = rec.to_dict()
-            kinds[queue] = cluster.sim._queue.kind
-        assert records["heap"] == records["bucket"] == records["auto"]
-        assert kinds["heap"] == "heap"
-        assert kinds["bucket"] == "bucket"
-        # auto must have promoted: the pre-scheduled arrival backlog
-        # blows straight through the 4096-live-event threshold
-        assert kinds["auto"] == "bucket"
-
-    def test_fast_path_keeps_auto_on_the_heap(self, monkeypatch):
-        """The pump schedules one arrival event at a time, so the fast
-        path's live-event count stays tiny — no promotion needed."""
-        monkeypatch.setenv("REPRO_DES_QUEUE", "auto")
-        spec = build("service_overload", **self.SPEC)
-        rec_fast, cluster = run_service_detailed(spec, wave_batching=True)
-        assert cluster.sim._queue.kind == "heap"
-        rec_off, _ = self._run("auto", monkeypatch)
-        assert rec_fast.to_dict() == rec_off.to_dict()
+def test_large_backlog_batching_on_off_bit_identical():
+    """The forced-off run pre-schedules every arrival (thousands of
+    live events); the pump keeps one in flight.  Same record."""
+    spec = build("service_overload", rate=5e6, horizon=2e-3)
+    on = run_service(spec, batching=True)
+    off = run_service(spec, batching=False)
+    assert on.to_dict() == off.to_dict()
 
 
-def test_wave_env_default_controls_service_cluster(monkeypatch):
-    """wave_batching=None defers to REPRO_DES_WAVE."""
+def test_batching_defaults_on():
     spec = build("service_poisson", horizon=5e-4)
-    monkeypatch.setenv("REPRO_DES_WAVE", "0")
     _, cluster = run_service_detailed(spec)
-    assert cluster.wave_batching is False
-    monkeypatch.delenv("REPRO_DES_WAVE")
-    _, cluster = run_service_detailed(spec)
-    assert cluster.wave_batching is True
+    assert cluster.batching is True
+    _, cluster = run_service_detailed(spec, batching=False)
+    assert cluster.batching is False

@@ -333,20 +333,6 @@ class TestJsonOutput:
         assert doc["partition"]["seed"] == 2
 
 
-class TestDesQueueEnv:
-    def test_bad_queue_env_reported_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_QUEUE", "splay")
-        rc = main(["run", "--scenario", "quickstart", "--steps", "1"])
-        assert rc == 2
-        assert "REPRO_DES_QUEUE" in capsys.readouterr().err
-
-    def test_valid_queue_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_QUEUE", "bucket")
-        rc = main(["run", "--scenario", "quickstart", "--steps", "1"])
-        assert rc == 0
-        assert "makespan" in capsys.readouterr().out
-
-
 class TestServeCommand:
     def test_list_service_scenarios(self, capsys):
         rc = main(["serve", "--list"])
