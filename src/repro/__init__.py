@@ -35,7 +35,7 @@ Sub-packages:
   (specs, registry, parallel sweep runner, structured results).
 """
 
-from .amt import (ConstantSpeed, Network, PiecewiseSpeed, SimCluster,
+from .amt import (ConstantSpeed, FlatTopology, PiecewiseSpeed, SimCluster,
                   TaskExecutor)
 from .experiments import (ClusterSpec, MeshSpec, PartitionSpec, PolicySpec,
                           RunRecord, ScenarioSpec, TopologySpec,
@@ -54,7 +54,8 @@ from .solver import (AsyncSolver, DistributedSolver, ManufacturedProblem,
 __version__ = "1.0.0"
 
 __all__ = [
-    "ConstantSpeed", "Network", "PiecewiseSpeed", "SimCluster", "TaskExecutor",
+    "ConstantSpeed", "FlatTopology", "PiecewiseSpeed", "SimCluster",
+    "TaskExecutor",
     "BalanceStrategy", "IntervalPolicy", "LoadBalancer", "NeverBalance",
     "ThresholdPolicy", "strategy_names",
     "Decomposition", "SubdomainGrid", "UniformGrid", "build_stencil",

@@ -4,12 +4,12 @@ The paper's Fig. 13 roll-off comes from communication on a real Skylake
 cluster, where not every node pair is equidistant: SDs on the same node
 share memory, nodes in the same rack talk through the top-of-rack
 switch, and racks talk through (typically oversubscribed) uplinks.  The
-flat :class:`repro.amt.cluster.Network` collapses all of that into one
-latency + bandwidth link with per-node egress serialization, which
-makes rack locality, uplink oversubscription, and placement-aware
-balancing unexpressible.
+default :class:`FlatTopology` collapses all of that into one latency +
+bandwidth link with per-node egress serialization; the rack-aware models
+make rack locality, uplink oversubscription, and placement-aware
+balancing expressible.
 
-This module is the pluggable replacement (DESIGN.md substitution 5).  A
+This module is the cluster's network model (DESIGN.md substitution 5).  A
 :class:`Topology` routes each ``src → dst`` message onto a list of
 :class:`LinkHop` entries; every traversed link charges its own latency
 and wire time and — when it is a FIFO link — serializes concurrent
@@ -22,10 +22,9 @@ partition the traffic, so their byte counts always sum to
 
 Implementations:
 
-* :class:`FlatTopology` — one egress link per node, bit-for-bit
-  equivalent to the legacy :class:`repro.amt.cluster.Network` (same
-  arithmetic, same float operation order), so existing goldens and
-  committed benchmark records do not move;
+* :class:`FlatTopology` — one egress link per node, the default of
+  :class:`repro.amt.cluster.SimCluster` and of a cluster spec without a
+  topology; the committed goldens and benchmark records run on it;
 * :class:`SwitchedTopology` — two-level: nodes grouped into racks,
   intra-rack messages pay only the NIC, inter-rack messages additionally
   traverse the source rack's uplink and the destination rack's downlink,
@@ -50,8 +49,7 @@ __all__ = ["LinkHop", "Topology", "FlatTopology", "SwitchedTopology",
            "HierarchicalTopology", "topology_names", "DEFAULT_LATENCY",
            "DEFAULT_BANDWIDTH"]
 
-#: The flat model's defaults (kept in sync with
-#: :class:`repro.amt.cluster.Network`): ~5 us MPI latency, 10 Gb/s NIC.
+#: The flat model's defaults: ~5 us MPI latency, 10 Gb/s NIC.
 DEFAULT_LATENCY = 5e-6
 DEFAULT_BANDWIDTH = 1.25e9
 
@@ -111,9 +109,8 @@ class Topology:
     pair) and :meth:`route_class` (the telemetry class the message's
     bytes are attributed to); :meth:`plan_send` walks the hops,
     serializing on FIFO links and accumulating latency + wire time, and
-    maintains the same counters as the legacy flat network
-    (``bytes_sent``, ``messages_sent``) plus the per-route-class byte
-    map ``bytes_by_class``.
+    maintains the byte counters (``bytes_sent``, ``messages_sent``) plus
+    the per-route-class byte map ``bytes_by_class``.
 
     Link state is **per run**: :meth:`reset` clears both the FIFO
     backlog and the counters (the distributed solver calls it at run
@@ -166,10 +163,10 @@ class Topology:
     def plan_send(self, src: int, dst: int, nbytes: int, now: float) -> float:
         """Account a message and return its virtual delivery time.
 
-        Same contract as the legacy ``Network.plan_send``: self-sends
-        are free and uncounted (shared memory inside a node); every
-        other message is charged per traversed link — FIFO links start
-        no earlier than their previous message's wire time ends.
+        Self-sends are free and uncounted (shared memory inside a
+        node); every other message is charged per traversed link — FIFO
+        links start no earlier than their previous message's wire time
+        ends.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
@@ -251,11 +248,13 @@ class Topology:
 
 
 class FlatTopology(Topology):
-    """Single-tier topology: every pair one egress hop — the legacy model.
+    """Single-tier topology: every pair one egress hop — the default.
 
-    Bit-for-bit equivalent to :class:`repro.amt.cluster.Network`
-    (identical arithmetic and float operation order), so running under
-    the default topology reproduces all committed goldens exactly.
+    ``transfer = latency + nbytes / bandwidth``; with
+    ``serialize_egress`` concurrent sends from one node queue on its
+    egress link (a NIC pushes one message at a time), which reproduces
+    the "boundary SDs grow with node count ⇒ slight roll-off" of the
+    paper's Fig. 13.  Every committed golden runs on this model.
     """
 
     kind = "flat"

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="network topology for the simulated cluster "
                              "(default: the scenario's choice, normally "
-                             "the legacy flat network; 'switched' and "
+                             "the flat network; 'switched' and "
                              "'hierarchical' use default rack parameters "
                              "— pin TopologySpec in a scenario for more)")
 
@@ -507,14 +507,15 @@ def _cmd_serve(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    from .core.strategies import requested_strategy
-    from .costmodel import requested_cost_model
-    from .solver.backends import requested_backend
+    from .core.strategies import STRATEGIES
+    from .costmodel import COST_MODELS
+    from .solver.backends import BACKENDS
     try:
-        requested_backend()      # a bad REPRO_KERNEL_BACKEND (or
-        requested_strategy()     # REPRO_BALANCER, REPRO_COST_MODEL)
-        requested_cost_model()   # fails every command; report it
-    except ValueError as exc:  # without a traceback
+        # a bad REPRO_KERNEL_BACKEND, REPRO_BALANCER or REPRO_COST_MODEL
+        # fails every command; report it without a traceback
+        for registry in (BACKENDS, STRATEGIES, COST_MODELS):
+            registry.requested()
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     handlers = {

@@ -13,9 +13,9 @@ strategies*.
 
 from .base import (BalanceEvent, BalanceResult, BalanceStrategy,
                    evacuate_assignments, is_uniform_work)
-from .registry import (AUTO, ENV_VAR, auto_strategy_name, get_strategy_class,
-                       make_strategy, register_strategy, requested_strategy,
-                       strategy_names)
+from .registry import (AUTO, ENV_VAR, STRATEGIES, auto_strategy_name,
+                       get_strategy_class, make_strategy, register_strategy,
+                       requested_strategy, strategy_names)
 
 # importing the implementation modules registers them
 from .diffusion import DiffusionStrategy
@@ -26,7 +26,8 @@ from .tree import TreeStrategy
 __all__ = [
     "BalanceEvent", "BalanceResult", "BalanceStrategy", "is_uniform_work",
     "evacuate_assignments",
-    "AUTO", "ENV_VAR", "auto_strategy_name", "get_strategy_class",
+    "AUTO", "ENV_VAR", "STRATEGIES", "auto_strategy_name",
+    "get_strategy_class",
     "make_strategy", "register_strategy", "requested_strategy",
     "strategy_names",
     "DiffusionStrategy", "GreedyStrategy", "RepartitionStrategy",

@@ -257,12 +257,11 @@ def run_sweep(specs: Iterable[ScenarioSpec],
     ``ProcessPoolExecutor``; ``executor.map`` preserves input order, and
     because the simulation is deterministic and records carry only plain
     JSON types, the parallel records are bit-identical to what
-    ``serial=True`` produces in this process.  Single-point sweeps (and
-    ``REPRO_SWEEP_SERIAL=1`` in the environment) skip the pool.
+    ``serial=True`` produces in this process.  Single-point sweeps skip
+    the pool.
     """
     specs = list(specs)
-    if (serial or len(specs) <= 1
-            or os.environ.get("REPRO_SWEEP_SERIAL") == "1"):
+    if serial or len(specs) <= 1:
         return [run_scenario(s) for s in specs]
     workers = min(len(specs), max_workers or os.cpu_count() or 1)
     payloads = [s.to_dict() for s in specs]

@@ -217,8 +217,8 @@ class TopologySpec:
     ``kind`` selects the model from :mod:`repro.amt.topology`:
 
     ``flat``
-        The legacy single-tier model: one egress link per node,
-        bit-for-bit equivalent to :class:`repro.amt.cluster.Network`.
+        The single-tier model and the default: one latency + bandwidth
+        egress link per node, FIFO-serialized.
     ``switched``
         Two-level racks (``rack = node // rack_size``) with
         oversubscribed uplinks: inter-rack messages additionally
@@ -491,19 +491,21 @@ class ClusterSpec:
     ``interference`` entries overlay time-varying slowdowns on top, and
     ``drift`` ramps every node linearly to new rates over a window
     (mutually exclusive with ``interference`` — both rewrite the trace).
-    ``latency``/``bandwidth`` of ``None`` use the :class:`repro.amt
-    .cluster.Network` defaults.  ``faults`` overlays a deterministic
-    churn schedule (failures/joins/straggles — see :class:`FaultSpec`);
+    ``latency``/``bandwidth`` of ``None`` use the flat network's
+    defaults (:data:`repro.amt.topology.DEFAULT_LATENCY` and
+    ``DEFAULT_BANDWIDTH``).  ``faults`` overlays a deterministic churn
+    schedule (failures/joins/straggles — see :class:`FaultSpec`);
     straggle windows compose onto whatever speed trace the other fields
     produce, so faults combine freely with static heterogeneity, drift,
     and interference.  ``topology`` replaces the flat network with a
     rack-aware model (see :class:`TopologySpec`); ``None`` keeps the
-    legacy flat network, and ``latency``/``bandwidth`` then feed the
-    topology's NIC tier when it leaves its own unset.  ``memory``
-    declares the per-node cache ladder shape-aware cost models price
-    tasks against (see :class:`MemorySpec`); ``None`` leaves the
-    hierarchy model on :data:`repro.costmodel.DEFAULT_HIERARCHY` and
-    is invisible to the flat model.
+    flat :class:`repro.amt.topology.FlatTopology`.  Either way
+    ``latency``/``bandwidth`` feed the NIC tier when the topology
+    leaves its own unset.  ``memory`` declares the per-node cache
+    ladder shape-aware cost models price tasks against (see
+    :class:`MemorySpec`); ``None`` leaves the hierarchy model on
+    :data:`repro.costmodel.DEFAULT_HIERARCHY` and is invisible to the
+    flat model.
     """
 
     num_nodes: int = 1
@@ -602,23 +604,13 @@ class ClusterSpec:
         return traces
 
     def build_network(self):
-        """A fresh network model (egress/link state must not leak).
-
-        The legacy flat :class:`Network` when no topology is declared;
-        otherwise the :class:`repro.amt.topology.Topology` this spec's
-        :class:`TopologySpec` describes, with the cluster's
-        ``latency``/``bandwidth`` as the NIC-tier defaults.
+        """A fresh :class:`repro.amt.topology.Topology` (link state must
+        not leak between runs): the one this spec's :class:`TopologySpec`
+        describes, or the flat default when none is declared, with the
+        cluster's ``latency``/``bandwidth`` as the NIC-tier defaults.
         """
-        if self.topology is not None:
-            return self.topology.build(self.num_nodes, self.latency,
-                                       self.bandwidth)
-        from ..amt.cluster import Network
-        kwargs = {}
-        if self.latency is not None:
-            kwargs["latency"] = self.latency
-        if self.bandwidth is not None:
-            kwargs["bandwidth"] = self.bandwidth
-        return Network(**kwargs)
+        return (self.topology or TopologySpec()).build(
+            self.num_nodes, self.latency, self.bandwidth)
 
     def build_memory(self):
         """The runtime :class:`repro.costmodel.MemoryHierarchy`, or
@@ -820,11 +812,8 @@ class PolicySpec:
                  f"ratio must be >= 1.0, got {self.ratio}")
         _require(self.min_interval >= 1,
                  f"min_interval must be >= 1, got {self.min_interval}")
-        from ..core.strategies import strategy_names
-        _require(self.balancer == "auto"
-                 or self.balancer in strategy_names(),
-                 f"unknown balancing strategy {self.balancer!r}; "
-                 f"expected 'auto' or one of {tuple(strategy_names())}")
+        from ..core.strategies import STRATEGIES
+        STRATEGIES.check(self.balancer)
 
     @property
     def enabled(self) -> bool:
@@ -942,16 +931,10 @@ class ScenarioSpec:
         _require(self.crack_horizon_factor > 0,
                  "crack_horizon_factor must be positive, "
                  f"got {self.crack_horizon_factor}")
-        from ..solver.backends import backend_names
-        _require(self.kernel_backend == "auto"
-                 or self.kernel_backend in backend_names(),
-                 f"unknown kernel backend {self.kernel_backend!r}; "
-                 f"expected 'auto' or one of {tuple(backend_names())}")
-        from ..costmodel import cost_model_names
-        _require(self.cost_model == "auto"
-                 or self.cost_model in cost_model_names(),
-                 f"unknown cost model {self.cost_model!r}; "
-                 f"expected 'auto' or one of {tuple(cost_model_names())}")
+        from ..solver.backends import BACKENDS
+        BACKENDS.check(self.kernel_backend)
+        from ..costmodel import COST_MODELS
+        COST_MODELS.check(self.cost_model)
         if self.work_factors is not None:
             _require(not self.cracks,
                      "work_factors and cracks are mutually exclusive "
@@ -983,7 +966,7 @@ class ScenarioSpec:
 
         ``topology`` may be a :class:`TopologySpec`, a kind name
         (``"flat"``, ``"switched"``, ``"hierarchical"`` — built with
-        default rack parameters), or ``None`` to restore the legacy
+        default rack parameters), or ``None`` to restore the default
         flat network.
         """
         if isinstance(topology, str):

@@ -321,16 +321,10 @@ class ServiceSpec:
                      f"outside the autoscale band "
                      f"[{self.autoscale.min_nodes}, "
                      f"{self.autoscale.max_nodes}]")
-        from ..solver.backends import backend_names
-        _require(self.kernel_backend == "auto"
-                 or self.kernel_backend in backend_names(),
-                 f"unknown kernel backend {self.kernel_backend!r}; "
-                 f"expected 'auto' or one of {tuple(backend_names())}")
-        from ..costmodel import cost_model_names
-        _require(self.cost_model == "auto"
-                 or self.cost_model in cost_model_names(),
-                 f"unknown cost model {self.cost_model!r}; "
-                 f"expected 'auto' or one of {tuple(cost_model_names())}")
+        from ..solver.backends import BACKENDS
+        BACKENDS.check(self.kernel_backend)
+        from ..costmodel import COST_MODELS
+        COST_MODELS.check(self.cost_model)
 
     @property
     def solver(self) -> str:

@@ -24,9 +24,9 @@ numerics do.
 
 from .base import (ConvolutionKernelBackend, KernelBackend,
                    apply_operator_reference)
-from .registry import (AUTO, ENV_VAR, auto_backend_name, backend_names,
-                       get_backend_class, make_backend, register_backend,
-                       requested_backend)
+from .registry import (AUTO, BACKENDS, ENV_VAR, auto_backend_name,
+                       backend_names, get_backend_class, make_backend,
+                       register_backend, requested_backend)
 
 # importing the implementations registers them
 from .direct import DirectBackend
@@ -35,7 +35,7 @@ from .sparse import SparseBackend
 
 __all__ = [
     "KernelBackend", "ConvolutionKernelBackend", "apply_operator_reference",
-    "AUTO", "ENV_VAR", "register_backend", "backend_names",
+    "AUTO", "ENV_VAR", "BACKENDS", "register_backend", "backend_names",
     "get_backend_class", "requested_backend", "auto_backend_name",
     "make_backend",
     "DirectBackend", "FFTBackend", "SparseBackend",

@@ -29,16 +29,16 @@ schedule matters.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..amt.cluster import (ConstantSpeed, Network, SimCluster, SimTask,
-                           SpeedTrace, StraggleSpeed)
+from ..amt.cluster import (ConstantSpeed, SimCluster, SimTask, SpeedTrace,
+                           StraggleSpeed)
 from ..amt.faults import ChurnEvent, FaultSchedule, RecoveryEvent
 from ..amt.future import Future, local_when_all
+from ..amt.topology import Topology
 from ..core.balancer import BalanceResult, LoadBalancer
 from ..core.policy import BalancePolicy, NeverBalance
 from ..core.power import imbalance_ratio
@@ -168,10 +168,10 @@ class DistributedSolver:
     cores_per_node, speeds, network:
         Simulated-cluster configuration (see :class:`repro.amt.cluster
         .SimCluster`); ``speeds`` in DP-update-flops per virtual second.
-        ``network`` may be the legacy flat :class:`repro.amt.cluster
-        .Network` or any :class:`repro.amt.topology.Topology` (rack
-        hierarchies, oversubscribed uplinks, WAN joiners); ghost,
-        migration, and recovery transfers are all routed through it.
+        ``network`` is any :class:`repro.amt.topology.Topology` (the
+        flat default, rack hierarchies, oversubscribed uplinks, WAN
+        joiners); ghost, migration, and recovery transfers are all
+        routed through it.
         Its link state is reset at the start of every :meth:`run`.
     source, dt:
         As in the serial solver.
@@ -250,7 +250,7 @@ class DistributedSolver:
                  sd_grid: SubdomainGrid, parts: Sequence[int],
                  num_nodes: int, cores_per_node: int = 1,
                  speeds: Optional[Sequence[SpeedTrace]] = None,
-                 network: Optional[Network] = None,
+                 network: Optional[Topology] = None,
                  source: Optional[Callable[[float], np.ndarray]] = None,
                  dt: Optional[float] = None,
                  work_factors: Optional[Sequence[float]] = None,
@@ -334,11 +334,8 @@ class DistributedSolver:
                                   speeds=speeds, network=network,
                                   cost_model=self.cost_model, memory=memory)
         #: compiled step plan (``None`` until built / after ownership
-        #: changes); ``REPRO_DES_PLANCACHE=0`` rebuilds it every step,
-        #: restoring the uncached cost profile for benchmarking
+        #: changes)
         self._plan: Optional[_StepPlan] = None
-        self._plan_cache = os.environ.get(
-            "REPRO_DES_PLANCACHE", "1") != "0"
         self._faults_armed = False
         self._recovery_futs: Dict[int, Future] = {}
         self.domain_mask = domain_mask
@@ -549,9 +546,7 @@ class DistributedSolver:
         num_nodes = len(self.cluster.nodes)
         plan = self._plan
         if plan is None:
-            plan = self._build_plan()
-            if self._plan_cache:
-                self._plan = plan
+            plan = self._plan = self._build_plan()
         t = step * self.dt
         b = None
         if self.compute_numerics and self.source is not None:

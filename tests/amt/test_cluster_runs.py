@@ -15,10 +15,11 @@ from collections import deque
 
 import pytest
 
-from repro.amt.cluster import (ConstantSpeed, Network, PiecewiseSpeed,
-                               RampSpeed, SimCluster, StraggleSpeed)
+from repro.amt.cluster import (ConstantSpeed, PiecewiseSpeed, RampSpeed,
+                               SimCluster, StraggleSpeed)
 from repro.amt.future import local_when_all
-from repro.amt.topology import HierarchicalTopology, SwitchedTopology
+from repro.amt.topology import (FlatTopology, HierarchicalTopology,
+                                SwitchedTopology)
 
 WORKS = [1e-4 * (1 + (k % 7)) for k in range(64)]
 
@@ -191,7 +192,7 @@ class TestRunInterruption:
 #: network models ``send_many`` must plan exactly like ``send`` on
 #: (factories: FIFO link state must start fresh for every run)
 NETWORKS = {
-    "network": Network,
+    "flat": FlatTopology,
     "switched": lambda: SwitchedTopology(rack_size=2, latency=1e-6,
                                          bandwidth=1e8,
                                          oversubscription=8.0),

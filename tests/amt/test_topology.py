@@ -1,14 +1,14 @@
-"""Topology models: routing, contention, telemetry, legacy equivalence.
+"""Topology models: routing, contention, telemetry, the flat oracle.
 
 Three layers:
 
 * unit tests per topology (routes, rack maps, FIFO contention on
   NICs/uplinks/WAN links, state management);
 * hypothesis property tests over random message schedules — the
-  :class:`FlatTopology` must reproduce the legacy ``Network`` delivery
-  times **bit-for-bit**, every topology's per-route-class byte
-  telemetry must partition ``bytes_sent`` exactly, and replaying a
-  schedule on a fresh instance must be deterministic;
+  :class:`FlatTopology` must reproduce a closed-form per-egress FIFO
+  model's delivery times **bit-for-bit**, every topology's
+  per-route-class byte telemetry must partition ``bytes_sent`` exactly,
+  and replaying a schedule on a fresh instance must be deterministic;
 * regression tests for the network-state bugfixes: per-run link-state
   reset (a reused ``network=`` instance must not delay the second run)
   and the failed node's egress release.
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amt.cluster import Network
 from repro.amt.topology import (FlatTopology, HierarchicalTopology, LinkHop,
                                 SwitchedTopology, topology_names)
 
@@ -40,11 +39,6 @@ TOPOLOGY_FACTORIES = {
 }
 
 
-def _make_topologies():
-    """One fresh instance of every registered topology variant."""
-    return [make() for make in TOPOLOGY_FACTORIES.values()]
-
-
 #: (src, dst, nbytes, dt>=0) tuples; the schedule walks now += dt.
 _messages = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5),
@@ -62,30 +56,57 @@ def _replay(model, schedule):
     return out, model.bytes_sent, model.messages_sent
 
 
-class TestFlatEqualsLegacyNetwork:
-    """FlatTopology is the legacy Network, bit-for-bit."""
+class EgressFifo:
+    """Closed-form flat network: one FIFO egress link per source node.
+
+    ``start = max(now, free[src])``, ``free[src] = start + n / bw`` and
+    ``arrival = start + lat + n / bw``; self-sends are free and
+    uncounted.  Without ``serialize_egress`` every send starts at
+    ``now``.
+    """
+
+    def __init__(self, latency=5e-6, bandwidth=1.25e9,
+                 serialize_egress=True):
+        self.lat, self.bw = latency, bandwidth
+        self.serialize = serialize_egress
+        self.free = {}
+        self.bytes_sent = self.messages_sent = 0
+
+    def plan_send(self, src, dst, n, now):
+        if src == dst:
+            return now
+        self.bytes_sent += n
+        self.messages_sent += 1
+        start = now
+        if self.serialize:
+            start = max(now, self.free.get(src, 0.0))
+            self.free[src] = start + n / self.bw
+        return start + self.lat + n / self.bw
+
+
+class TestFlatEqualsEgressFifo:
+    """FlatTopology is the closed-form egress FIFO model, bit-for-bit."""
 
     @given(schedule=_messages)
     @settings(max_examples=100, deadline=None)
     def test_delivery_times_bit_identical(self, schedule):
-        legacy, flat = Network(), FlatTopology()
-        times_l, bytes_l, msgs_l = _replay(legacy, schedule)
-        times_f, bytes_f, msgs_f = _replay(flat, schedule)
-        assert times_l == times_f  # exact float equality, no approx
-        assert (bytes_l, msgs_l) == (bytes_f, msgs_f)
+        times_m, bytes_m, msgs_m = _replay(EgressFifo(), schedule)
+        times_f, bytes_f, msgs_f = _replay(FlatTopology(), schedule)
+        assert times_m == times_f  # exact float equality, no approx
+        assert (bytes_m, msgs_m) == (bytes_f, msgs_f)
 
     @given(schedule=_messages)
     @settings(max_examples=40, deadline=None)
     def test_non_serializing_variant_matches_too(self, schedule):
-        legacy = Network(latency=1e-4, bandwidth=1e7, serialize_egress=False)
+        model = EgressFifo(latency=1e-4, bandwidth=1e7,
+                           serialize_egress=False)
         flat = FlatTopology(latency=1e-4, bandwidth=1e7,
                             serialize_egress=False)
-        assert _replay(legacy, schedule) == _replay(flat, schedule)
+        assert _replay(model, schedule) == _replay(flat, schedule)
 
-    def test_same_defaults(self):
-        legacy, flat = Network(), FlatTopology()
-        assert flat.latency == legacy.latency
-        assert flat.bandwidth == legacy.bandwidth
+    def test_defaults(self):
+        flat = FlatTopology()
+        assert (flat.latency, flat.bandwidth) == (5e-6, 1.25e9)
 
 
 class TestTopologyProperties:
@@ -108,10 +129,10 @@ class TestTopologyProperties:
         factory = TOPOLOGY_FACTORIES[name]
         assert _replay(factory(), schedule) == _replay(factory(), schedule)
 
-    @pytest.mark.parametrize("topo", _make_topologies(),
-                             ids=lambda t: f"{t.kind}-{id(t) % 97}")
-    def test_routes_are_static(self, topo):
+    @pytest.mark.parametrize("name", sorted(TOPOLOGY_FACTORIES))
+    def test_routes_are_static(self, name):
         """route() is pure: repeated queries agree, sends don't mutate."""
+        topo = TOPOLOGY_FACTORIES[name]()
         pairs = [(0, 3), (1, 4), (2, 5)]
         before = [[(h.key, h.latency, h.bandwidth, h.fifo)
                    for h in topo.route(s, d)] for s, d in pairs]
@@ -121,9 +142,9 @@ class TestTopologyProperties:
                   for h in topo.route(s, d)] for s, d in pairs]
         assert before == after
 
-    @pytest.mark.parametrize("topo", _make_topologies(),
-                             ids=lambda t: f"{t.kind}-{id(t) % 97}")
-    def test_self_send_free_and_uncounted(self, topo):
+    @pytest.mark.parametrize("name", sorted(TOPOLOGY_FACTORIES))
+    def test_self_send_free_and_uncounted(self, name):
+        topo = TOPOLOGY_FACTORIES[name]()
         assert topo.plan_send(2, 2, 10_000, 5.0) == 5.0
         assert topo.bytes_sent == 0
         assert topo.bytes_by_class == {}
@@ -239,7 +260,7 @@ class TestStateManagement:
     """The two network-state bugfix surfaces, at the model level."""
 
     @pytest.mark.parametrize("model_factory", [
-        Network, FlatTopology,
+        FlatTopology,
         lambda: SwitchedTopology(rack_size=2),
     ])
     def test_reset_clears_link_backlog_and_counters(self, model_factory):
@@ -253,15 +274,15 @@ class TestStateManagement:
         assert model.plan_send(0, 1, 10_000_000, 0.0) == first
 
     def test_reset_stats_keeps_backlog(self):
-        """The narrower legacy contract still holds: counters only."""
-        for model in (Network(), FlatTopology()):
-            t1 = model.plan_send(0, 1, 10_000_000, 0.0)
-            model.reset_stats()
-            assert model.bytes_sent == 0
-            assert model.plan_send(0, 2, 0, 0.0) > t1 - 1e-9  # still queued
+        """The narrower contract: counters only."""
+        model = FlatTopology()
+        t1 = model.plan_send(0, 1, 10_000_000, 0.0)
+        model.reset_stats()
+        assert model.bytes_sent == 0
+        assert model.plan_send(0, 2, 0, 0.0) > t1 - 1e-9  # still queued
 
     @pytest.mark.parametrize("model_factory", [
-        Network, FlatTopology,
+        FlatTopology,
         lambda: SwitchedTopology(rack_size=2),
     ])
     def test_release_node_drops_private_reservation(self, model_factory):

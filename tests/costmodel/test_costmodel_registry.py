@@ -1,10 +1,10 @@
-"""Cost-model registry semantics: the same selection contract as the
-kernel-backend and balancer registries.
+"""Cost-model registry: names, the ``flat`` default, and resolution.
 
-Explicit names win over the environment; ``REPRO_COST_MODEL`` reroutes
-only ``"auto"`` requests (``=auto`` means "no override"); unresolved
+The selection contract shared with the kernel-backend and balancer
+registries is pinned in ``tests/test_registries.py``; here, unresolved
 ``"auto"`` falls back to the ``flat`` default — the seed arithmetic —
-so every pre-existing scenario and golden is untouched.
+so every pre-existing scenario and golden is untouched, and the solver
+and records carry the resolved model.
 """
 
 import pytest
@@ -12,8 +12,7 @@ import pytest
 from repro.costmodel import (AUTO, DEFAULT, ENV_VAR, CostModel,
                              FlatCostModel, HierarchyCostModel, WorkItem,
                              cost_model_names, get_cost_model_class,
-                             make_cost_model, register_cost_model,
-                             requested_cost_model)
+                             make_cost_model)
 from repro.costmodel.hierarchy import DEFAULT_HIERARCHY, MemoryHierarchy, \
     MemoryLevel
 
@@ -31,45 +30,6 @@ class TestRegistry:
     def test_default_is_flat(self):
         assert DEFAULT == "flat"
         assert ENV_VAR == "REPRO_COST_MODEL"
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(KeyError, match="unknown cost model"):
-            get_cost_model_class("oracle")
-        with pytest.raises(ValueError, match="unknown cost model"):
-            requested_cost_model("oracle")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_cost_model("flat")(get_cost_model_class("flat"))
-
-    def test_auto_is_reserved(self):
-        with pytest.raises(ValueError, match="reserved"):
-            register_cost_model(AUTO)(get_cost_model_class("flat"))
-
-    def test_explicit_name_passes_through(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "hierarchy")
-        # explicit names win over the environment
-        assert requested_cost_model("flat") == "flat"
-
-    def test_env_forces_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "hierarchy")
-        assert requested_cost_model(AUTO) == "hierarchy"
-
-    def test_env_unset_leaves_auto(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert requested_cost_model(AUTO) == AUTO
-
-    def test_env_auto_means_no_override(self, monkeypatch):
-        """Exporting REPRO_COST_MODEL=auto must behave like not setting
-        it, not error out as an unknown model."""
-        monkeypatch.setenv(ENV_VAR, "auto")
-        assert requested_cost_model(AUTO) == AUTO
-        assert requested_cost_model("hierarchy") == "hierarchy"
-
-    def test_env_with_unknown_model_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "oracle")
-        with pytest.raises(ValueError, match="REPRO_COST_MODEL"):
-            requested_cost_model(AUTO)
 
 
 class TestMakeCostModel:

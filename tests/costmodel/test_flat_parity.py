@@ -43,13 +43,8 @@ def records_equal(a, b, ignore_spec=False):
 
 
 class TestDistributedFlatParity:
-    @pytest.mark.parametrize("plancache", ["0", "1"])
-    def test_fault_recovery_matches_golden_schedule(self, monkeypatch,
-                                                    plancache):
-        """The flat run reproduces the golden's schedule bit for bit —
-        with the step-plan cache off and on (both must resolve the same
-        work floats)."""
-        monkeypatch.setenv("REPRO_DES_PLANCACHE", plancache)
+    def test_fault_recovery_matches_golden_schedule(self):
+        """The flat run reproduces the golden's schedule bit for bit."""
         with open(GOLDEN, "r", encoding="utf-8") as fh:
             golden = json.load(fh)["record"]
         rec = run_scenario(build("fault_recovery")).to_dict()

@@ -246,11 +246,6 @@ class TestRunSweep:
         parallel = run_sweep(specs, serial=False, max_workers=2)
         assert parallel == serial  # RunRecord dataclass equality, all fields
 
-    def test_env_forces_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_SERIAL", "1")
-        recs = run_sweep(self._specs())
-        assert len(recs) == 4
-
     def test_invalid_point_fails_at_construction(self):
         with pytest.raises(ValueError):
             build("fig11_strong_distributed", mesh=64, sd_axis=1, nodes=4)

@@ -116,11 +116,14 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--scenario", "quickstart", "--backend", "quantum"])
 
-    def test_bad_backend_env_reported_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "quantum")
+    @pytest.mark.parametrize("env_var", ["REPRO_KERNEL_BACKEND",
+                                         "REPRO_BALANCER",
+                                         "REPRO_COST_MODEL"])
+    def test_bad_env_reported_cleanly(self, capsys, monkeypatch, env_var):
+        monkeypatch.setenv(env_var, "bogus")
         rc = main(["run", "--scenario", "quickstart", "--steps", "1"])
         assert rc == 2
-        assert "REPRO_KERNEL_BACKEND" in capsys.readouterr().err
+        assert env_var in capsys.readouterr().err
 
     def test_solve_accepts_backend(self, capsys):
         rc = main(["solve", "--nx", "16", "--eps-factor", "2",
@@ -242,12 +245,6 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--scenario", "fig14_load_balance",
                   "--balancer", "magic"])
-
-    def test_bad_balancer_env_reported_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BALANCER", "magic")
-        rc = main(["run", "--scenario", "fig14_load_balance", "--steps", "1"])
-        assert rc == 2
-        assert "REPRO_BALANCER" in capsys.readouterr().err
 
     def test_abl_balancers_sweeps_all_strategies(self, capsys, tmp_path):
         from repro.core.strategies import strategy_names
