@@ -19,6 +19,7 @@ import pytest
 
 from repro.costmodel import ENV_VAR
 from repro.experiments import build, run_scenario
+from repro.solver.distributed import DistributedSolver
 from repro.service.runner import run_service
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden",
@@ -34,6 +35,18 @@ SERVICE_SCENARIOS = ("service_poisson", "service_bursty",
                      "service_overload")
 
 
+def rebuild_plan_every_step(monkeypatch):
+    """Make every solver drop its cached step plan before each step."""
+    start_step = DistributedSolver._start_step
+
+    def uncached_start_step(self, step):
+        self._plan = None
+        start_step(self, step)
+
+    monkeypatch.setattr(DistributedSolver, "_start_step",
+                        uncached_start_step)
+
+
 def records_equal(a, b, ignore_spec=False):
     da, db = a.to_dict(), b.to_dict()
     if ignore_spec:
@@ -43,8 +56,14 @@ def records_equal(a, b, ignore_spec=False):
 
 
 class TestDistributedFlatParity:
-    def test_fault_recovery_matches_golden_schedule(self):
-        """The flat run reproduces the golden's schedule bit for bit."""
+    @pytest.mark.parametrize("plan", ["cached", "rebuilt"])
+    def test_fault_recovery_matches_golden_schedule(self, monkeypatch,
+                                                    plan):
+        """The flat run reproduces the golden's schedule bit for bit —
+        with the step plan cached and rebuilt every step (both must
+        resolve the same work floats)."""
+        if plan == "rebuilt":
+            rebuild_plan_every_step(monkeypatch)
         with open(GOLDEN, "r", encoding="utf-8") as fh:
             golden = json.load(fh)["record"]
         rec = run_scenario(build("fault_recovery")).to_dict()

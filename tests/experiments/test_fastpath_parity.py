@@ -3,7 +3,8 @@
 The solver compiles each ownership's ghost messages and task works into
 a step plan once and replays it until ownership or membership changes.
 A replayed plan must equal a fresh compile after a balancing migration,
-a node failure and a join.  Repeating a whole scenario run in the same
+a node failure and a join, and a whole run must not change when the
+plan is rebuilt every step instead.  Repeating a whole scenario run in the same
 process must reproduce every :class:`RunRecord` field bit for bit.
 (The committed goldens pin the same property against the repository
 history; these tests pin it within one checkout, over scenarios with
@@ -38,6 +39,25 @@ SCENARIOS = [
 def _record(name, overrides):
     rec = run_scenario(build(name, **overrides))
     return json.dumps(rec.to_dict(), sort_keys=True)
+
+
+def rebuild_plan_every_step(monkeypatch):
+    """Make every solver drop its cached step plan before each step."""
+    start_step = DistributedSolver._start_step
+
+    def uncached_start_step(self, step):
+        self._plan = None
+        start_step(self, step)
+
+    monkeypatch.setattr(DistributedSolver, "_start_step",
+                        uncached_start_step)
+
+
+@pytest.mark.parametrize("name,overrides", SCENARIOS)
+def test_plan_cache_produces_identical_records(name, overrides, monkeypatch):
+    cached = _record(name, overrides)
+    rebuild_plan_every_step(monkeypatch)
+    assert _record(name, overrides) == cached
 
 
 def _churn_solver(faults=None):
